@@ -29,12 +29,12 @@ from .kmeans import KMeansConfig, KMeansTrace, run_kmeans
 from .projection import PairSet, build_projection
 from .selection import SelectionRule, select_pairs
 from .truncation import (
+    _clustering_known,
+    _clustering_unknown,
+    _selection_known,
+    _selection_unknown,
     known_path,
-    known_sigma_truncation,
-    selection_truncation_known,
-    selection_truncation_unknown,
     unknown_path,
-    unknown_sigma_truncation,
 )
 
 _VARIANCE_KINDS = ("known", "plug_in_sample", "plug_in_median", "unknown")
@@ -160,7 +160,7 @@ def test_known_sigma(req: TestRequest) -> PValueResult:
         sigma, diag = _resolve_sigma(req)
         trace, part, V, bundle = _prepare(req)
         diag = {**diag, "pairs_tested": [list(pair) for pair in V.pairs]}
-        return _known_sigma_result(req, trace, bundle, sigma, method, diag)
+        return _known_sigma_result(req, trace, bundle, sigma, method, diag, V)
     except NotAvailable as e:
         return PValueResult.not_available(method, str(e))
 
@@ -172,13 +172,14 @@ def _known_sigma_result(
     sigma: float,
     method: Method,
     diag: dict,
+    V: PairSet | None = None,
 ) -> PValueResult:
     X = req.data
     path = known_path(X, bundle, sigma)
-    S = known_sigma_truncation(X, trace, bundle, sigma)
+    S = _clustering_known(trace, path)
     if method == Method.KNOWN_SIGMA_SELECTED:
         S = interval_intersect(
-            S, selection_truncation_known(X, trace, bundle, sigma, req.rule)
+            S, _selection_known(trace.final_partition(), path, req.rule, V)
         )
     spec = TruncatedDistSpec.chi(bundle.d, S)
     p, info = truncated_survival_info(path.psi_obs, spec)
@@ -281,11 +282,9 @@ def test_unknown_sigma(req: TestRequest) -> PValueResult:
         trace, part, V, bundle = _prepare(req)
         X = req.data
         path = unknown_path(X, part, bundle)
-        S = unknown_sigma_truncation(X, trace, part, bundle)
+        S = _clustering_unknown(trace, path)
         if selected:
-            S = interval_intersect(
-                S, selection_truncation_unknown(X, trace, part, bundle, req.rule)
-            )
+            S = interval_intersect(S, _selection_unknown(part, path, req.rule, V))
         spec = TruncatedDistSpec.fisher_f(bundle.d, bundle.d_star, S)
         p, info = truncated_survival_info(path.psi_obs, spec)
         return PValueResult(

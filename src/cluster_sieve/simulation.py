@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .core import DataMatrix, PValueResult
 from .inference import (
@@ -173,6 +172,8 @@ def run_type1(cfg: SimConfig, workers: int = 1) -> Type1Result:
 
     Degenerate replicates are skipped and counted, never imputed.
     """
+    from scipy import stats  # ~0.4 s to import; only this summary needs it
+
     records = _map_replicates(cfg, workers)
     ps = sorted(p for _, p in records if not math.isnan(p))
     na = cfg.replicates - len(ps)

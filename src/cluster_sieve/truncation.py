@@ -10,27 +10,32 @@ it takes the radical form
 
     l1*psi + l2*sqrt(psi) + l3*sqrt(psi*(psi+r*)) + l4*sqrt(psi+r*) + l5 <= 0,
 
-solved exactly through a quartic in y = sqrt(psi). All inequalities are
-intersected into one canonical IntervalUnion.
+solved exactly through a quartic in y = sqrt(psi).
+
+The inequalities are handled in batches, never one at a time: each
+Lloyd step, and the selection rule, yields one coefficient array; one
+numpy solver per family turns every row into interval pieces; and one
+sort-and-count sweep intersects those pieces with the running set.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     INF,
+    MERGE_TOL,
     ClusterPartition,
     DataMatrix,
     Interval,
     IntervalUnion,
     NotAvailable,
-    interval_intersect,
 )
 from .kmeans import KMeansTrace, step_centroids
-from .projection import ProjectionBundle, apply_P1, apply_PE
+from .projection import PairSet, ProjectionBundle, apply_P1, apply_PE
 from .selection import SelectionRule, pair_center_diffs, select_pairs
 
 # Candidate quartic roots are accepted with deliberately loose tolerances:
@@ -45,189 +50,232 @@ _ROOT_COLLAPSE = 1e-30
 # noise on an exact zero; left in, they flip the sign of g at enormous
 # psi and corrupt the partition scan.
 _COEFF_NOISE = 1e-11
+# A Gram entry <U_i - Ubar_l, W_i - Wbar_l> is computed from four expanded
+# inner products of length q, each bounded by Cauchy-Schwarz by
+# (|U_i| + |Ubar_l|)(|W_i| + |Wbar_l|); the computed entry is off by at
+# most (q + 3) * eps times that bound. A quadratic coefficient (the
+# difference of two entries) within _GRAM_ULPS times the sum of the two
+# entries' error bounds cannot be told from an exact zero, which is what
+# it is when a point and both centers share their tested component (as
+# init rows do at step 0). Left in, such noise puts a spurious endpoint
+# near psi = c / b ~ 1e16 and bounds a set that is really unbounded.
+_GRAM_ULPS = 4.0
 
 
-@dataclass(frozen=True)
-class QuadCoeffs:
-    """The quadratic a*psi^2 + b*psi + c.
+class _Pieces(NamedTuple):
+    """Intervals of many constraints at once: piece k belongs to the
+    solution set of constraint row[k]. Pieces are grouped by row and,
+    within a row, disjoint and ascending."""
 
-    A single squared distance along the known-variance path has a >= 0
-    (it is a squared norm); differences of two such forms may have
-    either sign.
+    row: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_closed: np.ndarray
+    hi_closed: np.ndarray
+
+    def take(self, idx) -> "_Pieces":
+        return _Pieces(*(f[idx] for f in self))
+
+
+_HALF_LINE = _Pieces(np.zeros(1, dtype=int), np.zeros(1), np.full(1, INF),
+                     np.ones(1, dtype=bool), np.zeros(1, dtype=bool))
+
+
+def _clip(lo, hi, lo_closed, hi_closed):
+    """Clip candidate intervals to [0, inf). A negative lower end moves
+    to 0, where it is attained whatever its strictness (0 is then
+    interior to the unclipped solution). Also returns whether each
+    clipped interval is non-empty."""
+    neg = lo < 0.0
+    lo = np.where(neg, 0.0, lo)
+    lo_closed = lo_closed | neg
+    ok = (hi > lo) | ((hi == lo) & lo_closed & hi_closed)
+    return lo, hi, lo_closed, hi_closed & (hi < INF), ok
+
+
+def _merge_touching(p: _Pieces) -> _Pieces:
+    """Merge the pieces of one row that overlap or lie within MERGE_TOL
+    of each other, as IntervalUnion does, keeping the outer closedness.
+    Two pieces both open at the same point keep that point removed."""
+    if p.lo.size < 2:
+        return p
+    removed_point = (p.lo[1:] == p.hi[:-1]) & ~p.hi_closed[:-1] & ~p.lo_closed[1:]
+    join = (p.row[1:] == p.row[:-1]) & (p.lo[1:] <= p.hi[:-1] + MERGE_TOL) & ~removed_point
+    first = np.flatnonzero(np.r_[True, ~join])
+    last = np.r_[first[1:] - 1, p.lo.size - 1]
+    return _Pieces(p.row[first], p.lo[first], p.hi[last], p.lo_closed[first], p.hi_closed[last])
+
+
+def _intersect(S: _Pieces, p: _Pieces, m: int) -> _Pieces:
+    """S intersected with the solution sets of m constraints, given as
+    the pieces p of rows 0..m-1.
+
+    One sweep: all endpoints are sorted, a running sum of +1 (start) and
+    -1 (end) counts how many sets cover each stretch, and the stretches
+    covered by S and all constraints are kept. At a shared endpoint open
+    ends count first and open starts last, so a point that an open piece
+    leaves out stays out, and a point that closed pieces share stays in.
     """
-
-    a: float
-    b: float
-    c: float
-
-
-@dataclass(frozen=True)
-class SqrtCoeffs:
-    """The function l1*psi + l2*sqrt(psi) + l3*sqrt(psi)*sqrt(psi+r*)
-    + l4*sqrt(psi+r*) + l5 appearing in the estimated-variance path."""
-
-    l1: float
-    l2: float
-    l3: float
-    l4: float
-    l5: float
-    r_star: float
-
-    def __post_init__(self):
-        if not self.r_star > 0:
-            raise ValueError("r_star must be positive")
-
-    def value(self, psi: float) -> float:
-        rt = math.sqrt(psi + self.r_star)
-        sq = math.sqrt(psi)
-        return (
-            self.l1 * psi
-            + self.l2 * sq
-            + self.l3 * sq * rt
-            + self.l4 * rt
-            + self.l5
-        )
+    if np.any(np.bincount(p.row, minlength=m) == 0):
+        return _HALF_LINE.take(slice(0, 0))
+    full = (p.lo == 0.0) & p.lo_closed & (p.hi == INF)
+    need = m - int(np.count_nonzero(full)) + 1
+    if need == 1:
+        return S
+    p = p.take(~full)
+    lo = np.concatenate([S.lo, p.lo])
+    x = np.concatenate([lo, S.hi, p.hi])
+    kind = np.concatenate([
+        np.where(np.concatenate([S.lo_closed, p.lo_closed]), 1, 3),
+        np.where(np.concatenate([S.hi_closed, p.hi_closed]), 2, 0),
+    ])
+    order = np.lexsort((kind, x))
+    x, kind = x[order], kind[order]
+    k = np.flatnonzero(np.cumsum(np.repeat([1, -1], lo.size)[order]) == need)
+    return _merge_touching(
+        _Pieces(np.zeros(k.size, dtype=int), x[k], x[k + 1], kind[k] == 1, kind[k + 1] == 2)
+    )
 
 
-def _interval(lo: float, hi: float, lo_closed: bool = True, hi_closed: bool = True):
-    if lo < 0.0:
-        # 0 is then interior to the unclipped solution, so the clipped
-        # endpoint is attained regardless of strictness.
-        lo, lo_closed = 0.0, True
-    if hi < lo or (hi == lo and not (lo_closed and hi_closed)):
-        return None
-    return Interval(lo, hi, lo_closed, hi_closed if hi < INF else False)
+def _to_union(S: _Pieces) -> IntervalUnion:
+    return IntervalUnion(tuple(map(Interval, *(f.tolist() for f in S[1:]))))
 
 
-def solve_quad_leq(c: QuadCoeffs, strict: bool = False) -> IntervalUnion:
-    """{psi >= 0 : a*psi^2 + b*psi + c <= 0} (or < 0 when strict).
+def _solve_quad(coef: np.ndarray, strict: np.ndarray | None = None):
+    """{psi >= 0 : a*psi^2 + b*psi + c <= 0} (< 0 where strict) for every
+    row (a, b, c) of coef, as (pieces, row count).
 
-    All degenerate cases are handled: a zero leading coefficient falls
-    back to the linear or constant inequality, and a non-positive
-    discriminant keeps or discards the whole half-line by the sign of a.
+    A row has at most two pieces, [lo1, hi1] and [lo2, inf). The
+    degenerate cases: a = 0 falls back to the linear or constant
+    inequality; a non-positive discriminant keeps or discards the whole
+    half-line by the sign of a, except that a double root is the one
+    point kept (a > 0, closed) or the one point removed (a < 0, strict).
     """
-    a, b, cc = c.a, c.b, c.c
-    closed = not strict
-    if a == 0.0:
-        if b == 0.0:
-            ok = cc < 0.0 or (cc == 0.0 and closed)
-            return IntervalUnion.full() if ok else IntervalUnion.empty()
-        root = -cc / b
-        if b > 0.0:
-            iv = _interval(0.0, root, True, closed)
-            return IntervalUnion((iv,) if iv else ())
-        iv = _interval(root, INF, closed, False)
-        return IntervalUnion((iv,))
-    disc = b * b - 4.0 * a * cc
-    if disc <= 0.0:
-        if a > 0.0:
-            if disc == 0.0 and closed:
-                root = -b / (2.0 * a)
-                if root >= 0.0:
-                    return IntervalUnion((Interval(root, root),))
-            return IntervalUnion.empty()
-        if disc == 0.0 and strict:
-            root = -b / (2.0 * a)
-            if root > 0.0:
-                return IntervalUnion(
-                    (Interval(0.0, root, True, False), Interval(root, INF, False, False))
-                )
-            if root == 0.0:
-                return IntervalUnion((Interval(0.0, INF, False, False),))
-        return IntervalUnion.full()
-    # Two real roots; the classical formula cancels when b^2 >> 4ac, so
-    # derive one root from the stable intermediate q and the other from
-    # the product c/a = r1*r2.
-    s = math.sqrt(disc)
-    qq = -(b + math.copysign(s, b)) / 2.0 if b != 0.0 else s / 2.0
-    r1 = qq / a
-    r2 = cc / qq
-    lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
-    if a > 0.0:
-        iv = _interval(lo, hi, closed, closed)
-        return IntervalUnion((iv,) if iv else ())
-    pieces = []
-    left = _interval(0.0, lo, True, closed)
-    if left:
-        pieces.append(left)
-    right = _interval(hi, INF, closed, False)
-    if right:
-        pieces.append(right)
-    return IntervalUnion(tuple(pieces))
+    a, b, c = coef[:, 0], coef[:, 1], coef[:, 2]
+    strict = np.zeros(a.size, dtype=bool) if strict is None else strict
+    closed = ~strict
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = -c / b
+        disc = b * b - 4.0 * a * c
+        vertex = -b / (2.0 * a)
+        # Two real roots; the classical formula cancels when b^2 >> 4ac,
+        # so one root comes from the stable intermediate q and the other
+        # from the product c/a = r1*r2.
+        s = np.sqrt(disc)
+        qq = np.where(b != 0.0, -(b + np.copysign(s, b)) / 2.0, s / 2.0)
+        r1, r2 = qq / a, c / qq
+    rlo, rhi = np.minimum(r1, r2), np.maximum(r1, r2)
+    flat, up = a == 0.0, a > 0.0
+    const = flat & (b == 0.0)
+    rise = flat & (b > 0.0)  # [0, root]
+    fall = flat & (b < 0.0)  # [root, inf)
+    double = ~flat & (disc == 0.0) & (vertex >= 0.0)
+    pit = up & (disc <= 0.0)  # empty, or the double root when closed
+    point = pit & double & closed
+    notch = ~flat & ~up & double & strict  # [0, root) and (root, inf)
+    two = ~flat & (disc > 0.0)
+    cup = two & up  # [rlo, rhi]
+    cap = two & ~up  # [0, rlo] and [rhi, inf)
+    lo1 = np.select([fall, point, cup], [root, vertex, rlo], 0.0)
+    hi1 = np.select([rise, point | notch, cup, cap], [root, vertex, rhi, rlo], INF)
+    lc1 = ~((fall | cup) & strict)
+    hc1 = point | ((rise | cup | cap) & closed)
+    on1 = np.select([const, pit], [(c < 0.0) | ((c == 0.0) & closed), point], True)
+    lo, hi, lc, hc, ok = _clip(
+        np.column_stack([lo1, np.where(notch, vertex, rhi)]),
+        np.column_stack([hi1, np.full(a.size, INF)]),
+        np.column_stack([lc1, closed & ~notch]),
+        np.column_stack([hc1, np.zeros(a.size, dtype=bool)]),
+    )
+    ok &= np.column_stack([on1, notch | cap])
+    rows = np.broadcast_to(np.arange(a.size)[:, None], ok.shape)
+    return _merge_touching(_Pieces(rows[ok], lo[ok], hi[ok], lc[ok], hc[ok])), a.size
 
 
-def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
-    """{psi >= 0 : c.value(psi) <= 0} for the radical form.
+def _poly_roots(P: np.ndarray) -> np.ndarray:
+    """Complex roots of every row's polynomial (highest power first),
+    NaN-padded, computed as np.roots does: leading and trailing zero
+    coefficients are stripped and the roots are the eigenvalues of the
+    companion matrix. The stripped trailing zeros stand for roots at 0,
+    which are left out here. Rows are stacked by effective degree, one
+    eigvals call per degree."""
+    m, w = P.shape
+    out = np.full((m, w - 1), np.nan, dtype=complex)
+    nz = P != 0.0
+    first = np.argmax(nz, axis=1)
+    span = np.where(nz.any(axis=1), w - np.argmax(nz[:, ::-1], axis=1) - first, 0)
+    for k in range(2, w + 1):
+        rows = np.flatnonzero(span == k)
+        if rows.size == 0:
+            continue
+        p = P[rows[:, None], first[rows, None] + np.arange(k)]
+        comp = np.zeros((rows.size, k - 1, k - 1))
+        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        comp[:, np.arange(1, k - 1), np.arange(k - 2)] = 1.0
+        out[rows, : k - 1] = np.linalg.eigvals(comp)
+    return out
+
+
+def _solve_radical(lam: np.ndarray, rs: float):
+    """{psi >= 0 : g(psi) <= 0} for every row (l1, ..., l5) of lam, g the
+    radical form with the given r*, as (closed pieces, row count).
 
     Substituting y = sqrt(psi) and squaring the balanced equation
     (l3*y + l4)*sqrt(y^2 + r*) = -(l1*y^2 + l2*y + l5) turns the
     boundary into a quartic in y. Its admissible roots, together with
-    the real roots of each side alone, partition [0, inf); a midpoint
-    sign scan then keeps the non-positive pieces, mapped back through
+    y = 0 and the real roots of each side alone, partition [0, inf); a
+    midpoint sign scan keeps the non-positive parts, mapped back through
     psi = y^2.
     """
-    l1, l2, l3, l4, l5, rs = c.l1, c.l2, c.l3, c.l4, c.l5, c.r_star
-    if l1 == 0.0 and l2 == 0.0 and l3 == 0.0 and l4 == 0.0:
-        return IntervalUnion.full() if l5 <= 0.0 else IntervalUnion.empty()
-
-    def g_of_y(y: float) -> float:
-        rt = math.sqrt(y * y + rs)
-        return l1 * y * y + l2 * y + l3 * y * rt + l4 * rt + l5
-
-    def f1(y: float) -> float:
-        return (l3 * y + l4) * math.sqrt(y * y + rs)
-
-    def f2(y: float) -> float:
-        return -(l1 * y * y + l2 * y + l5)
-
-    quartic = np.array(
-        [
+    l1, l2, l3, l4, l5 = (col[:, None] for col in lam.T)
+    m = lam.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quartic = np.column_stack([
             l3 * l3 - l1 * l1,
             2.0 * (l3 * l4 - l1 * l2),
             l4 * l4 + l3 * l3 * rs - l2 * l2 - 2.0 * l1 * l5,
             2.0 * (l3 * l4 * rs - l2 * l5),
             l4 * l4 * rs - l5 * l5,
-        ]
-    )
-    cands = [0.0]
-    if np.any(quartic != 0.0):
-        for z in np.roots(quartic):
-            y = float(z.real)
-            if abs(z.imag) <= _IMAG_TOL and y >= 0.0:
-                # Squaring introduces sign-flipped impostors; keep only
-                # roots where both sides genuinely meet.
-                if abs(f1(y) - f2(y)) <= _RESIDUAL_TOL:
-                    cands.append(y)
-    # Roots of each side alone catch boundaries the squared equation
-    # degenerates on (both sides vanishing identically).
-    if l3 != 0.0:
-        y = -l4 / l3
-        if y >= 0.0:
-            cands.append(y)
-    if l1 != 0.0:
+        ])
+        z = _poly_roots(quartic)
+        y = z.real
+        # Squaring introduces sign-flipped impostors; keep only roots
+        # where both sides genuinely meet.
+        gap = (l3 * y + l4) * np.sqrt(y * y + rs) + (l1 * y * y + l2 * y + l5)
+        real = (np.abs(z.imag) <= _IMAG_TOL) & (np.abs(gap) <= _RESIDUAL_TOL)
+        # Roots of each side alone catch boundaries the squared equation
+        # degenerates on (both sides vanishing identically).
+        side = np.where(l3 != 0.0, -l4 / l3, np.nan)
         disc = l2 * l2 - 4.0 * l1 * l5
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            for y in ((-l2 - s) / (2.0 * l1), (-l2 + s) / (2.0 * l1)):
-                if y >= 0.0:
-                    cands.append(y)
-    elif l2 != 0.0:
-        y = -l5 / l2
-        if y >= 0.0:
-            cands.append(y)
-
-    ys = sorted(cands)
-    dedup = [ys[0]]
-    for y in ys[1:]:
-        if y - dedup[-1] > _ROOT_COLLAPSE:
-            dedup.append(y)
-    pieces = []
-    for lo, hi in zip(dedup, dedup[1:]):
-        if g_of_y(0.5 * (lo + hi)) <= 0.0:
-            pieces.append(Interval(lo * lo, hi * hi))
-    if g_of_y(dedup[-1] + 1.0) <= 0.0:
-        pieces.append(Interval(dedup[-1] ** 2, INF))
-    return IntervalUnion(tuple(pieces))
+        s = np.sqrt(disc)
+        two = (l1 != 0.0) & (disc >= 0.0)
+        linear = (l1 == 0.0) & (l2 != 0.0)
+        q1 = np.where(two, (-l2 - s) / (2.0 * l1), np.where(linear, -l5 / l2, np.nan))
+        q2 = np.where(two, (-l2 + s) / (2.0 * l1), np.nan)
+        cands = np.hstack([np.zeros((m, 1)), np.where(real, y, np.nan), side, q1, q2])
+        ys = np.sort(np.where(cands >= 0.0, cands, np.nan), axis=1)  # NaN last
+        # Collapse candidates within _ROOT_COLLAPSE of the last one kept.
+        keep = np.zeros(ys.shape, dtype=bool)
+        keep[:, 0] = True
+        last = ys[:, 0]
+        for t in range(1, ys.shape[1]):
+            keep[:, t] = ys[:, t] - last > _ROOT_COLLAPSE
+            last = np.where(keep[:, t], ys[:, t], last)
+        ys = np.sort(np.where(keep, ys, np.nan), axis=1)
+        count = keep.sum(axis=1)[:, None]
+        t = np.arange(ys.shape[1])
+        nxt = np.hstack([ys[:, 1:], np.full((m, 1), np.nan)])
+        bounded = t < count - 1
+        probe = np.where(bounded, 0.5 * (ys + nxt), ys + 1.0)
+        rt = np.sqrt(probe * probe + rs)
+        g = l1 * probe * probe + l2 * probe + l3 * probe * rt + l4 * rt + l5
+        inside = (t < count) & (g <= 0.0)
+        hi = np.where(bounded, nxt * nxt, INF)
+    rows = np.broadcast_to(np.arange(m)[:, None], ys.shape)
+    lo = ys * ys
+    closed = np.ones(lo.shape, dtype=bool)
+    pieces = _Pieces(rows[inside], lo[inside], hi[inside], closed[inside], (hi < INF)[inside])
+    return _merge_touching(pieces), m
 
 
 @dataclass(frozen=True)
@@ -298,6 +346,20 @@ def unknown_path(
     )
 
 
+def _intersect_batches(batches, solve) -> IntervalUnion:
+    """The intersection of the solution sets of every row of every batch,
+    a batch being a tuple of row-aligned arrays that solve(*arrays) turns
+    into (pieces, row count). Batches (one per Lloyd step) are built and
+    solved one at a time against the running set, stopping once it is
+    empty."""
+    S = _HALF_LINE
+    for rows in batches:
+        S = _intersect(S, *solve(*rows))
+        if S.lo.size == 0:
+            break
+    return _to_union(S)
+
+
 def _cross_gram(U: np.ndarray, W: np.ndarray, Ubar: np.ndarray, Wbar: np.ndarray):
     # entry (i, l) = <U_i - Ubar_l, W_i - Wbar_l>
     return (
@@ -308,24 +370,141 @@ def _cross_gram(U: np.ndarray, W: np.ndarray, Ubar: np.ndarray, Wbar: np.ndarray
     )
 
 
-def _competitor_diffs(mat_by_name: dict, curr: np.ndarray):
-    """For each Gram matrix G (n x K), the differences
-    G[i, curr_i] - G[i, l] flattened over the competitors l != curr_i."""
-    n, K = next(iter(mat_by_name.values())).shape
-    rows = np.arange(n)
-    keep = np.ones((n, K), dtype=bool)
+def _competitor_split(curr: np.ndarray, K: int):
+    """A function taking an n x K matrix G to G[i, curr_i] and G[i, l]
+    over the competitors l != curr_i, both flattened in (i, l) order."""
+    rows = np.arange(curr.size)
+    keep = np.ones((curr.size, K), dtype=bool)
     keep[rows, curr] = False
-    return {
-        name: (G[rows, curr][:, None] - G)[keep] for name, G in mat_by_name.items()
-    }
+    return lambda G: (np.repeat(G[rows, curr], K - 1), G[keep])
 
 
-def _intersect_all(S: IntervalUnion, pieces) -> IntervalUnion:
-    for piece in pieces:
-        S = interval_intersect(S, piece)
-        if S.is_empty:
-            break
-    return S
+# Index pairs (u, w) of the Gram terms <U_u, U_w> each family needs: for
+# the known-variance path (D, E) the terms dd, de, ee; for the
+# estimated-variance path (A, B, C) the terms aa, bb, cc, ab, ac, bc.
+_QUAD_TERMS = ((0, 0), (0, 1), (1, 1))
+_RADICAL_TERMS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _known_rows(trace: KMeansTrace, path: KnownPath, j: int) -> np.ndarray:
+    """Rows (a, b, c) of a*psi^2 + b*psi + c <= 0 for every (point,
+    competitor) pair of Lloyd step j: the squared distance of x_i(psi)
+    to its assigned center minus that to the competitor's. Step 0
+    compares against the initial center rows of x(psi), later steps
+    against the centroids of the previous step's labels."""
+    split = _competitor_split(trace.assignments[j], trace.K)
+    mats = (path.D, path.E)
+    bars = [step_centroids(U, trace, j) for U in mats]
+    # |U_i| + |Ubar_l| for U = D, E: the Cauchy-Schwarz factors of _GRAM_ULPS
+    reach = [
+        np.add.outer(np.linalg.norm(U, axis=1), np.linalg.norm(Ubar, axis=1))
+        for U, Ubar in zip(mats, bars)
+    ]
+    ulps = _GRAM_ULPS * (path.D.shape[1] + 3) * np.finfo(float).eps
+    coef = np.empty((trace.n * (trace.K - 1), 3))
+    for t, (u, w) in enumerate(_QUAD_TERMS):
+        own, other = split(_cross_gram(mats[u], mats[w], bars[u], bars[w]))
+        err_own, err_other = split(reach[u] * reach[w])
+        diff = own - other
+        coef[:, t] = np.where(np.abs(diff) <= ulps * (err_own + err_other), 0.0, diff)
+    coef[:, 1] *= 2.0
+    return coef
+
+
+def _radical_rows(aa, bb, cc, ab, ac, bc, rs: float) -> np.ndarray:
+    """Radical rows (l1, ..., l5) from the Gram terms of a difference
+    vector's A, B, C parts: its squared norm along the estimated-variance
+    path, normalized by the combined squared norm and cleared of the
+    psi + r* denominator."""
+    srs = math.sqrt(rs)
+    return np.column_stack([aa + cc, 2.0 * srs * ab, 2.0 * ac, 2.0 * srs * bc, rs * (bb + cc)])
+
+
+def _clean_radical(lam: np.ndarray, rs: float) -> np.ndarray:
+    """Drop vacuous radical rows and zero the noise-level coefficients
+    of the others."""
+    scale = np.abs(lam).max(axis=1, initial=0.0)
+    live = scale >= 1e-13 * max(1.0, rs)
+    lam, scale = lam[live], scale[live]
+    return np.where(np.abs(lam) < _COEFF_NOISE * scale[:, None], 0.0, lam)
+
+
+def _unknown_rows(trace: KMeansTrace, path: UnknownPath, j: int) -> np.ndarray:
+    """Radical rows for every (point, competitor) pair of Lloyd step j:
+    assigned minus competitor squared distance along the
+    estimated-variance path."""
+    split = _competitor_split(trace.assignments[j], trace.K)
+    mats = (path.A, path.B, path.C)
+    bars = [step_centroids(U, trace, j) for U in mats]
+    grams = []
+    for u, w in _RADICAL_TERMS:
+        own, other = split(_cross_gram(mats[u], mats[w], bars[u], bars[w]))
+        grams.append(own - other)
+    return _clean_radical(_radical_rows(*grams, path.r_star), path.r_star)
+
+
+def _pair_grams(mats, part: ClusterPartition, terms):
+    """All pairs (k < k') and, per term (u, w), the inner products of the
+    pairs' center differences of mats[u] and mats[w]."""
+    diffs = [pair_center_diffs(U, part) for U in mats]
+    return diffs[0][0], [(diffs[u][1] * diffs[w][1]).sum(axis=1) for u, w in terms]
+
+
+def _selection_rows(rule: SelectionRule, V: PairSet, pairs, coef: np.ndarray, gamma):
+    """The selection event as rows of coef's form, each <= 0 (< 0 where
+    strict): coef[p] is the form of pair p's squared center distance and
+    gamma that of the squared threshold (None for rank rules).
+
+    Rank rules pin every selected pair strictly ahead of every
+    unselected one; threshold rules pin each pair to its own side of the
+    threshold, strictly for the unselected ones.
+    """
+    selected = np.array([p in V.pairs for p in pairs])
+    sel, uns = coef[selected], coef[~selected]
+    if rule.kind in ("top", "bottom"):
+        # top: every unselected pair strictly closer than every selected one
+        rows = (uns[None, :, :] - sel[:, None, :]).reshape(-1, coef.shape[1])
+        return (rows if rule.kind == "top" else -rows), np.ones(len(rows), dtype=bool)
+    rows = np.vstack([sel - gamma, gamma - uns])
+    if rule.kind == "above":
+        rows = -rows
+    return rows, np.arange(len(rows)) >= len(sel)
+
+
+def _clustering_known(trace: KMeansTrace, path: KnownPath) -> IntervalUnion:
+    steps = ((_known_rows(trace, path, j),) for j in range(trace.J + 1))
+    return _intersect_batches(steps, _solve_quad)
+
+
+def _selection_known(
+    part: ClusterPartition, path: KnownPath, rule: SelectionRule, V: PairSet
+) -> IntervalUnion:
+    pairs, grams = _pair_grams((path.D, path.E), part, _QUAD_TERMS)
+    # per-pair coefficients of ||x(psi)^T v||^2 = a*psi^2 + b*psi + c
+    coef = np.column_stack([grams[0], 2.0 * grams[1], grams[2]])
+    gamma = None if rule.threshold is None else np.array([0.0, 0.0, rule.threshold**2])
+    rows, strict = _selection_rows(rule, V, pairs, coef, gamma)
+    return _intersect_batches([(rows, strict)], _solve_quad)
+
+
+def _clustering_unknown(trace: KMeansTrace, path: UnknownPath) -> IntervalUnion:
+    steps = ((_unknown_rows(trace, path, j),) for j in range(trace.J + 1))
+    return _intersect_batches(steps, lambda lam: _solve_radical(lam, path.r_star))
+
+
+def _selection_unknown(
+    part: ClusterPartition, path: UnknownPath, rule: SelectionRule, V: PairSet
+) -> IntervalUnion:
+    rs = path.r_star
+    pairs, grams = _pair_grams((path.A, path.B, path.C), part, _RADICAL_TERMS)
+    lam = _radical_rows(*grams, rs)
+    gamma = None
+    if rule.threshold is not None:
+        t2 = rule.threshold**2
+        gamma = np.array([t2 / path.total_sq, 0.0, 0.0, 0.0, rs * t2 / path.total_sq])
+    # Ties have probability zero; the radical family keeps them (closed).
+    rows, _ = _selection_rows(rule, V, pairs, lam, gamma)
+    return _intersect_batches([(_clean_radical(rows, rs),)], lambda lam: _solve_radical(lam, rs))
 
 
 def known_sigma_truncation(
@@ -340,35 +519,7 @@ def known_sigma_truncation(
     cluster is one quadratic inequality; competitors equal to the
     assigned cluster are vacuous and skipped.
     """
-    path = known_path(X, bundle, sigma)
-    return _clustering_known(trace, path)
-
-
-def _clustering_known(trace: KMeansTrace, path: KnownPath) -> IntervalUnion:
-    D, E = path.D, path.E
-    S = IntervalUnion.full()
-    for j in range(trace.J + 1):
-        Dbar = step_centroids(D, trace, j)
-        Ebar = step_centroids(E, trace, j)
-        curr = trace.assignments[j]
-        grams = _competitor_diffs(
-            {
-                "a": _cross_gram(D, D, Dbar, Dbar),
-                "b": _cross_gram(D, E, Dbar, Ebar),
-                "c": _cross_gram(E, E, Ebar, Ebar),
-            },
-            curr,
-        )
-        S = _intersect_all(
-            S,
-            (
-                solve_quad_leq(QuadCoeffs(a, 2.0 * b, c))
-                for a, b, c in zip(grams["a"], grams["b"], grams["c"])
-            ),
-        )
-        if S.is_empty:
-            break
-    return S
+    return _clustering_known(trace, known_path(X, bundle, sigma))
 
 
 def selection_truncation_known(
@@ -388,124 +539,18 @@ def selection_truncation_known(
     """
     if not rule.is_data_dependent:
         raise ValueError("selection truncation applies to data-dependent rules only")
-    path = known_path(X, bundle, sigma)
     part = trace.final_partition()
     V = select_pairs(X, part, rule)
-    pairs, dD = pair_center_diffs(path.D, part)
-    _, dE = pair_center_diffs(path.E, part)
-    # per-pair coefficients of ||x(psi)^T v||^2 = a*psi^2 + b*psi + c
-    a = (dD**2).sum(axis=1)
-    b = 2.0 * (dD * dE).sum(axis=1)
-    cc = (dE**2).sum(axis=1)
-    selected = np.array([p in V.pairs for p in pairs])
-    return _intersect_all(
-        IntervalUnion.full(), _selection_quads(rule, selected, a, b, cc)
-    )
-
-
-def _selection_quads(rule, selected, a, b, cc):
-    sel = np.flatnonzero(selected)
-    uns = np.flatnonzero(~selected)
-    if rule.kind in ("top", "bottom"):
-        for s in sel:
-            for u in uns:
-                if rule.kind == "top":
-                    # unselected strictly smaller: q_u - q_s < 0
-                    yield solve_quad_leq(
-                        QuadCoeffs(a[u] - a[s], b[u] - b[s], cc[u] - cc[s]), strict=True
-                    )
-                else:
-                    yield solve_quad_leq(
-                        QuadCoeffs(a[s] - a[u], b[s] - b[u], cc[s] - cc[u]), strict=True
-                    )
-        return
-    t2 = rule.threshold**2
-    below = rule.kind == "below"
-    for s in sel:
-        if below:
-            yield solve_quad_leq(QuadCoeffs(a[s], b[s], cc[s] - t2))
-        else:
-            yield solve_quad_leq(QuadCoeffs(-a[s], -b[s], t2 - cc[s]))
-    for u in uns:
-        if below:
-            yield solve_quad_leq(QuadCoeffs(-a[u], -b[u], t2 - cc[u]), strict=True)
-        else:
-            yield solve_quad_leq(QuadCoeffs(a[u], b[u], cc[u] - t2), strict=True)
-
-
-def _clean_lambda(vec: np.ndarray, rs: float) -> np.ndarray | None:
-    """Zero noise-level radical coefficients; None for a vacuous vector."""
-    scale = float(np.max(np.abs(vec)))
-    if scale < 1e-13 * max(1.0, rs):
-        return None
-    out = vec.copy()
-    out[np.abs(out) < _COEFF_NOISE * scale] = 0.0
-    return out
-
-
-def _lambda_diff_sets(A, B, C, trace, j, curr, rs):
-    """SqrtCoeffs for every (point, competitor) inequality of step j.
-
-    The radical form of a squared distance along the estimated-variance
-    path, normalized by the combined squared norm and cleared of the
-    psi + r* denominator, has coefficients built from the A, B, C parts
-    of the difference vectors; inequalities compare assigned minus
-    competitor forms.
-    """
-    Abar = step_centroids(A, trace, j)
-    Bbar = step_centroids(B, trace, j)
-    Cbar = step_centroids(C, trace, j)
-    srs = math.sqrt(rs)
-    d = _competitor_diffs(
-        {
-            "aa": _cross_gram(A, A, Abar, Abar),
-            "bb": _cross_gram(B, B, Bbar, Bbar),
-            "cc": _cross_gram(C, C, Cbar, Cbar),
-            "ab": _cross_gram(A, B, Abar, Bbar),
-            "ac": _cross_gram(A, C, Abar, Cbar),
-            "bc": _cross_gram(B, C, Bbar, Cbar),
-        },
-        curr,
-    )
-    for aa, bb, cc, ab, ac, bc in zip(
-        d["aa"], d["bb"], d["cc"], d["ab"], d["ac"], d["bc"]
-    ):
-        vec = _clean_lambda(
-            np.array(
-                [aa + cc, 2.0 * srs * ab, 2.0 * ac, 2.0 * srs * bc, rs * (bb + cc)]
-            ),
-            rs,
-        )
-        if vec is None:
-            continue
-        yield SqrtCoeffs(
-            l1=vec[0], l2=vec[1], l3=vec[2], l4=vec[3], l5=vec[4], r_star=rs
-        )
+    return _selection_known(part, known_path(X, bundle, sigma), rule, V)
 
 
 def unknown_sigma_truncation(
-    X: DataMatrix,
-    trace: KMeansTrace,
-    part: ClusterPartition,
-    bundle: ProjectionBundle,
+    X: DataMatrix, trace: KMeansTrace, part: ClusterPartition, bundle: ProjectionBundle
 ) -> IntervalUnion:
     """The set of psi for which the estimated-variance perturbation
     reproduces every recorded assignment. Each comparison is one
-    radical-form inequality solved by solve_sqrt_leq."""
-    path = unknown_path(X, part, bundle)
-    return _clustering_unknown(trace, path)
-
-
-def _clustering_unknown(trace: KMeansTrace, path: UnknownPath) -> IntervalUnion:
-    S = IntervalUnion.full()
-    for j in range(trace.J + 1):
-        coeffs = _lambda_diff_sets(
-            path.A, path.B, path.C, trace, j, trace.assignments[j], path.r_star
-        )
-        S = _intersect_all(S, (solve_sqrt_leq(c) for c in coeffs))
-        if S.is_empty:
-            break
-    return S
+    radical-form inequality."""
+    return _clustering_unknown(trace, unknown_path(X, part, bundle))
 
 
 def selection_truncation_unknown(
@@ -524,54 +569,5 @@ def selection_truncation_unknown(
     """
     if not rule.is_data_dependent:
         raise ValueError("selection truncation applies to data-dependent rules only")
-    path = unknown_path(X, part, bundle)
     V = select_pairs(X, part, rule)
-    rs = path.r_star
-    srs = math.sqrt(rs)
-    pairs, dA = pair_center_diffs(path.A, part)
-    _, dB = pair_center_diffs(path.B, part)
-    _, dC = pair_center_diffs(path.C, part)
-    aa = (dA**2).sum(axis=1)
-    bb = (dB**2).sum(axis=1)
-    cc = (dC**2).sum(axis=1)
-    ab = (dA * dB).sum(axis=1)
-    ac = (dA * dC).sum(axis=1)
-    bc = (dB * dC).sum(axis=1)
-    lam = np.column_stack(
-        [aa + cc, 2.0 * srs * ab, 2.0 * ac, 2.0 * srs * bc, rs * (bb + cc)]
-    )
-    selected = np.array([p in V.pairs for p in pairs])
-    sel = np.flatnonzero(selected)
-    uns = np.flatnonzero(~selected)
-
-    def solve(vec):
-        cleaned = _clean_lambda(vec, rs)
-        if cleaned is None:
-            return IntervalUnion.full()
-        return solve_sqrt_leq(
-            SqrtCoeffs(
-                l1=cleaned[0],
-                l2=cleaned[1],
-                l3=cleaned[2],
-                l4=cleaned[3],
-                l5=cleaned[4],
-                r_star=rs,
-            )
-        )
-
-    pieces = []
-    if rule.kind in ("top", "bottom"):
-        for s in sel:
-            for u in uns:
-                pieces.append(
-                    solve(lam[u] - lam[s] if rule.kind == "top" else lam[s] - lam[u])
-                )
-    else:
-        t2 = rule.threshold**2
-        gamma = np.array([t2 / path.total_sq, 0.0, 0.0, 0.0, rs * t2 / path.total_sq])
-        below = rule.kind == "below"
-        for s in sel:
-            pieces.append(solve(lam[s] - gamma if below else gamma - lam[s]))
-        for u in uns:
-            pieces.append(solve(gamma - lam[u] if below else lam[u] - gamma))
-    return _intersect_all(IntervalUnion.full(), pieces)
+    return _selection_unknown(part, unknown_path(X, part, bundle), rule, V)

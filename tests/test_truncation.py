@@ -1,4 +1,4 @@
-"""Inequality solvers, perturbation paths, and truncation sets.
+"""Scalar oracle solvers, perturbation paths, and truncation sets.
 
 The ground truth throughout is direct evaluation: solver outputs are
 compared against the sign of the constraint at sample points, and the
@@ -18,19 +18,16 @@ from cluster_sieve.kmeans import KMeansConfig, replay_matches, run_kmeans
 from cluster_sieve.projection import PairSet, apply_PE, build_projection
 from cluster_sieve.selection import SelectionRule, select_pairs
 from cluster_sieve.truncation import (
-    QuadCoeffs,
-    SqrtCoeffs,
     known_path,
     known_sigma_truncation,
     selection_truncation_known,
     selection_truncation_unknown,
-    solve_quad_leq,
-    solve_sqrt_leq,
     unknown_path,
     unknown_sigma_truncation,
 )
 
 from conftest import gauss_data, traced_instance
+from oracles import QuadCoeffs, SqrtCoeffs, solve_quad_leq, solve_sqrt_leq
 
 
 def spans(u: IntervalUnion):
