@@ -2,8 +2,9 @@
 means, with known or estimated noise scale.
 
 The public surface: build a `TestRequest` around a `DataMatrix`, a
-`KMeansConfig`, a `SelectionRule`, and a `VarianceSpec`, then call one
-of the `test_*` functions. Simulation helpers live in
+`KMeansConfig`, a `SelectionRule`, and a `VarianceSpec`, then call
+`run_test`, which picks the `test_*` function the request asks for.
+Simulation helpers live in
 `cluster_sieve.simulation`, the command line in `cluster_sieve.cli`.
 """
 
@@ -34,6 +35,7 @@ from .distributions import (
 from .inference import (
     TestRequest,
     VarianceSpec,
+    run_test,
     sigma_hat_med,
     sigma_hat_sample,
     test_bonferroni,
@@ -77,6 +79,7 @@ __all__ = [
     "build_projection",
     "run_kmeans",
     "run_power",
+    "run_test",
     "run_type1",
     "select_pairs",
     "sigma_hat_med",

@@ -24,13 +24,7 @@ import numpy as np
 
 from . import __version__
 from .core import DataMatrix, IntervalUnion, PValueResult
-from .inference import (
-    TestRequest,
-    VarianceSpec,
-    test_bonferroni,
-    test_known_sigma,
-    test_unknown_sigma,
-)
+from .inference import TestRequest, VarianceSpec, run_test
 from .kmeans import KMeansConfig
 from .selection import SelectionRule
 from .simulation import SimConfig, run_power, run_type1
@@ -63,15 +57,8 @@ class CliRunRecord:
     outputs: tuple[str, ...]
 
     def write(self, path: str) -> None:
-        payload = {
-            "command": list(self.command),
-            "config": self.config,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "outputs": list(self.outputs),
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -162,6 +149,8 @@ def parse_delta_grid(text: str) -> tuple[float, ...]:
         raise CliError(EXIT_INPUT, f"malformed --delta-grid {text!r}")
     if not grid:
         raise CliError(EXIT_INPUT, "--delta-grid is empty")
+    if not all(delta >= 0 for delta in grid):
+        raise CliError(EXIT_INPUT, f"--delta-grid {text!r} has a negative entry")
     return grid
 
 
@@ -184,27 +173,22 @@ def resolve_variance(
 ) -> VarianceSpec:
     """Exactly one variance flag must be chosen; `simulate` falls back
     to the generating sd when none is given."""
-    chosen = [
-        name
-        for name, on in (
-            ("--sigma", sigma is not None),
-            ("--sigma-est", sigma_est is not None),
-            ("--unknown-sigma", unknown_sigma),
-        )
-        if on
-    ]
+    flags = {"--sigma": sigma, "--sigma-est": sigma_est}
+    chosen = [name for name, value in flags.items() if value is not None]
+    chosen += ["--unknown-sigma"] if unknown_sigma else []
     if len(chosen) > 1:
         raise CliError(EXIT_FLAGS, f"flags {' and '.join(chosen)} are exclusive")
     if not chosen:
-        if default_sigma is not None:
-            return VarianceSpec.known(default_sigma)
-        raise CliError(
-            EXIT_FLAGS, "one of --sigma, --sigma-est, --unknown-sigma is required"
-        )
+        if default_sigma is None:
+            raise CliError(
+                EXIT_FLAGS, "one of --sigma, --sigma-est, --unknown-sigma is required"
+            )
+        sigma = default_sigma
     if sigma is not None:
-        if sigma <= 0:
-            raise CliError(EXIT_INPUT, "the known sd must be positive")
-        return VarianceSpec.known(sigma)
+        try:
+            return VarianceSpec.known(sigma)
+        except ValueError as e:
+            raise CliError(EXIT_INPUT, f"invalid sd {sigma!r}: {e}")
     if sigma_est is not None:
         if sigma_est == "sample":
             return VarianceSpec.plug_in_sample()
@@ -220,7 +204,10 @@ def resolve_rule(pairs: str | None, select: str | None, K: int) -> SelectionRule
     if pairs is not None:
         return SelectionRule.fixed(parse_pairs(pairs, K))
     if select is not None:
-        return parse_select(select)
+        rule = parse_select(select)
+        if rule.g is not None and rule.g > K * (K - 1) // 2:
+            raise CliError(EXIT_INPUT, f"--select {select!r}: more pairs than K={K} has")
+        return rule
     return SelectionRule.fixed_all(K)
 
 
@@ -261,10 +248,8 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _truncation_json(S: IntervalUnion | None):
+def _truncation_json(S: IntervalUnion):
     """Interval list with None standing for an unbounded upper end."""
-    if S is None:
-        return None
     return [
         {
             "lo": iv.lo,
@@ -276,9 +261,7 @@ def _truncation_json(S: IntervalUnion | None):
     ]
 
 
-def _truncation_text(S: IntervalUnion | None) -> str:
-    if S is None:
-        return ""
+def _truncation_text(S: IntervalUnion) -> str:
     parts = []
     for iv in S.intervals:
         lo_b = "[" if iv.lo_closed else "("
@@ -289,8 +272,6 @@ def _truncation_text(S: IntervalUnion | None) -> str:
 
 
 def _pairs_text(pairs) -> str:
-    if not pairs:
-        return ""
     return ",".join(f"{k + 1}:{kp + 1}" for k, kp in pairs)
 
 
@@ -369,11 +350,7 @@ def _run_one_test(args, data, rule, variance, kseed: int) -> PValueResult:
         variance=variance,
         account_selection=args.account_selection,
     )
-    if args.bonferroni:
-        return test_bonferroni(req)
-    if variance.kind == "unknown":
-        return test_unknown_sigma(req)
-    return test_known_sigma(req)
+    return run_test(req, bonferroni=args.bonferroni)
 
 
 def cmd_test(args, argv: list[str]) -> int:
@@ -382,6 +359,10 @@ def cmd_test(args, argv: list[str]) -> int:
         raise CliError(EXIT_INPUT, "--k must be at least 2")
     if args.restarts < 1:
         raise CliError(EXIT_INPUT, "--restarts must be at least 1")
+    if args.max_iter < 1:
+        raise CliError(EXIT_INPUT, "--max-iter must be at least 1")
+    if args.seed < 0:
+        raise CliError(EXIT_INPUT, "--seed must be nonnegative")
     variance = resolve_variance(args.sigma, args.sigma_est, args.unknown_sigma)
     rule = resolve_rule(args.pairs, args.select, args.k)
     _check_combinations(args, rule, variance)
@@ -482,8 +463,6 @@ def cmd_simulate(args, argv: list[str]) -> int:
     # --sigma is the generating sd; --test-sigma, when given, is the sd
     # handed to the test. With no variance flag the test uses the
     # generating sd, the usual calibration setup.
-    if args.test_sigma is not None and args.test_sigma <= 0:
-        raise CliError(EXIT_INPUT, "--test-sigma must be positive")
     variance = resolve_variance(
         args.test_sigma, args.sigma_est, args.unknown_sigma, default_sigma=args.sigma
     )
@@ -561,22 +540,9 @@ def cmd_simulate(args, argv: list[str]) -> int:
     record = CliRunRecord(
         command=tuple(argv),
         config={
+            **_jsonable(dataclasses.asdict(cfg)),
             "mode": args.mode,
-            "n": cfg.n,
-            "q": cfg.q,
-            "K": cfg.K,
-            "sigma": cfg.sigma,
-            "mu_kind": cfg.mu_kind,
-            "delta": cfg.delta,
             "delta_grid": list(grid) if grid else None,
-            "replicates": cfg.replicates,
-            "rule": _jsonable(dataclasses.asdict(rule)),
-            "variance": dataclasses.asdict(variance),
-            "account_selection": cfg.account_selection,
-            "bonferroni": cfg.bonferroni,
-            "alpha": cfg.alpha,
-            "master_seed": cfg.master_seed,
-            "kmeans_max_iter": cfg.kmeans_max_iter,
             "workers": workers,
         },
         version=__version__,

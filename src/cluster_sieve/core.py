@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -213,58 +213,6 @@ def _canonicalize(intervals: Sequence[Interval]) -> tuple[Interval, ...]:
     return tuple(merged)
 
 
-def interval_intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
-    """Intersection of two interval unions.
-
-    Linear sweep over the two sorted interval lists.
-    """
-    out = []
-    ai, bi = 0, 0
-    xs, ys = a.intervals, b.intervals
-    while ai < len(xs) and bi < len(ys):
-        x, y = xs[ai], ys[bi]
-        lo = max(x.lo, y.lo)
-        hi = min(x.hi, y.hi)
-        if lo < hi or (lo == hi and _closed_at(x, lo) and _closed_at(y, lo)):
-            lo_closed = _closed_at(x, lo) and _closed_at(y, lo)
-            hi_closed = _closed_hi_at(x, hi) and _closed_hi_at(y, hi)
-            out.append(Interval(lo, hi, lo_closed, hi_closed))
-        if x.hi <= y.hi:
-            ai += 1
-        else:
-            bi += 1
-    return IntervalUnion(tuple(out))
-
-
-def _closed_at(iv: Interval, point: float) -> bool:
-    # Closedness of iv at `point` approached as a lower endpoint.
-    if point == iv.lo:
-        return iv.lo_closed
-    return True
-
-
-def _closed_hi_at(iv: Interval, point: float) -> bool:
-    if point == iv.hi:
-        return iv.hi_closed
-    return True
-
-
-def interval_complement(a: IntervalUnion) -> IntervalUnion:
-    """Complement within [0, inf), flipping endpoint closedness."""
-    out = []
-    cursor = 0.0
-    cursor_closed = True
-    for iv in a.intervals:
-        if iv.lo > cursor or (iv.lo == cursor and cursor_closed and not iv.lo_closed):
-            out.append(Interval(cursor, iv.lo, cursor_closed, not iv.lo_closed))
-        if iv.hi == INF:
-            return IntervalUnion(tuple(out))
-        cursor = iv.hi
-        cursor_closed = not iv.hi_closed
-    out.append(Interval(cursor, INF, cursor_closed, True))
-    return IntervalUnion(tuple(out))
-
-
 def interval_contains(a: IntervalUnion, x: float, tol: float = 0.0) -> bool:
     """Membership test honoring endpoint closedness.
 
@@ -280,25 +228,6 @@ def interval_contains(a: IntervalUnion, x: float, tol: float = 0.0) -> bool:
         if lo_ok and hi_ok:
             return True
     return False
-
-
-def interval_measure_under(
-    a: IntervalUnion, survival: Callable[[float], float]
-) -> float:
-    """Probability mass of the union under a distribution given by its
-    survival function (decreasing, survival(0) = 1).
-
-    Returns sum over intervals of survival(lo) - survival(hi), clamped
-    to [0, 1]. Closedness is ignored: continuous distributions assign
-    no mass to endpoints.
-    """
-    total = 0.0
-    for iv in a.intervals:
-        if iv.lo > iv.hi:
-            raise ValueError("malformed interval: lo > hi")
-        s_hi = 0.0 if iv.hi == INF else survival(iv.hi)
-        total += survival(iv.lo) - s_hi
-    return min(max(total, 0.0), 1.0)
 
 
 class Method(Enum):

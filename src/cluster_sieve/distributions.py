@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .core import INF, Interval, IntervalUnion, ZeroMassSet, interval_intersect
+from .core import INF, Interval, IntervalUnion, ZeroMassSet
 
 _EPS = np.finfo(float).eps
 # A log-mass difference below this multiple of the rounding noise in the
@@ -256,7 +256,16 @@ def _log_mass_of(
 
 
 def _upper_region(support: IntervalUnion, t: float) -> IntervalUnion:
-    return interval_intersect(support, IntervalUnion((Interval(max(t, 0.0), INF),)))
+    """The part of support at or above t: every piece is clipped at t
+    from below, and a piece clipped to a point keeps that point."""
+    t = max(t, 0.0)
+    out = []
+    for iv in support.intervals:
+        lo = max(iv.lo, t)
+        lo_closed = iv.lo_closed or lo > iv.lo
+        if lo < iv.hi or (lo == iv.hi and lo_closed):
+            out.append(Interval(lo, iv.hi, lo_closed, iv.hi_closed))
+    return IntervalUnion(tuple(out))
 
 
 def truncated_survival_info(t: float, spec: TruncatedDistSpec) -> tuple[float, dict]:

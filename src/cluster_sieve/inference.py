@@ -12,30 +12,18 @@ error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from .core import (
-    DataMatrix,
-    Method,
-    NotAvailable,
-    PValueResult,
-    interval_intersect,
-)
+from .core import DataMatrix, Method, NotAvailable, PValueResult
 from .distributions import TruncatedDistSpec, truncated_survival_info
 from .kmeans import KMeansConfig, KMeansTrace, run_kmeans
-from .projection import PairSet, build_projection
+from .projection import PairSet, ProjectionBundle, build_projection
 from .selection import SelectionRule, select_pairs
-from .truncation import (
-    _clustering_known,
-    _clustering_unknown,
-    _selection_known,
-    _selection_unknown,
-    known_path,
-    unknown_path,
-)
+from .truncation import known_path, truncation_set, unknown_path
 
 _VARIANCE_KINDS = ("known", "plug_in_sample", "plug_in_median", "unknown")
 
@@ -56,8 +44,8 @@ class VarianceSpec:
         if self.kind not in _VARIANCE_KINDS:
             raise ValueError(f"unknown variance kind {self.kind!r}")
         if self.kind == "known":
-            if self.sigma is None or not self.sigma > 0:
-                raise ValueError("a known sigma must be positive")
+            if self.sigma is None or not (math.isfinite(self.sigma) and self.sigma > 0):
+                raise ValueError("a known sigma must be finite and positive")
         elif self.sigma is not None:
             raise ValueError(f"variance kind {self.kind!r} takes no sigma")
 
@@ -119,9 +107,11 @@ def sigma_hat_med(X: DataMatrix) -> float:
     return float(np.sqrt(np.median(dev2) / CHI1_MEDIAN))
 
 
-def _resolve_sigma(req: TestRequest) -> tuple[float, dict]:
+def _resolve_sigma(req: TestRequest) -> tuple[float | None, dict]:
+    """The noise scale of the chi test and its diagnostics; None for the
+    F test, which estimates the scale in-sample."""
     v = req.variance
-    if v.kind == "known":
+    if v.kind in ("known", "unknown"):
         return v.sigma, {}
     if v.kind == "plug_in_sample":
         est = sigma_hat_sample(req.data)
@@ -137,9 +127,54 @@ def _resolve_sigma(req: TestRequest) -> tuple[float, dict]:
 def _prepare(req: TestRequest):
     trace = run_kmeans(req.data, req.kmeans_cfg)
     part = trace.final_partition()
-    V = select_pairs(req.data, part, req.rule)
-    bundle = build_projection(part, V, req.data.q)
-    return trace, part, V, bundle
+    return trace, part, select_pairs(req.data, part, req.rule)
+
+
+def _test(
+    req: TestRequest,
+    trace: KMeansTrace,
+    V: PairSet,
+    bundle: ProjectionBundle,
+    sigma: float | None,
+    method: Method,
+    diag: dict,
+) -> PValueResult:
+    """The one test core: the path of the data along the directions of
+    bundle, its truncation set S (the clustering history and, with
+    account_selection, the selection V), and the tail of the reference
+    law truncated to S at the observed statistic. The law is chi with
+    the given sigma, or F with sigma None."""
+    part = trace.final_partition()
+    if sigma is None:
+        path, law, df_den = unknown_path(req.data, part, bundle), "f", bundle.d_star
+    else:
+        path, law, df_den = known_path(req.data, bundle, sigma), "chi", None
+    S = truncation_set(path, trace, (part, V) if req.account_selection else None)
+    spec = TruncatedDistSpec(law, bundle.d, df_den, S)
+    p, info = truncated_survival_info(path.psi_obs, spec)
+    return PValueResult(
+        statistic=path.psi_obs,
+        df_num=bundle.d,
+        df_den=df_den,
+        truncation=S,
+        p_value=p,
+        method=method,
+        diagnostics={**diag, **info},
+    )
+
+
+def _joint_test(req: TestRequest, method: Method, selected: Method) -> PValueResult:
+    """One test of every pair the rule selects, jointly, tagged `method`
+    or, when it accounts for the selection, `selected`."""
+    method = selected if req.account_selection else method
+    try:
+        sigma, diag = _resolve_sigma(req)
+        trace, part, V = _prepare(req)
+        bundle = build_projection(part, V, req.data.q)
+        diag = {**diag, "pairs_tested": [list(pair) for pair in V.pairs]}
+        return _test(req, trace, V, bundle, sigma, method, diag)
+    except NotAvailable as e:
+        return PValueResult.not_available(method, str(e))
 
 
 def test_known_sigma(req: TestRequest) -> PValueResult:
@@ -154,70 +189,29 @@ def test_known_sigma(req: TestRequest) -> PValueResult:
     """
     if req.variance.kind == "unknown":
         raise ValueError("test_known_sigma needs a known or plug-in sigma")
-    selected = req.account_selection and req.rule.is_data_dependent
-    method = Method.KNOWN_SIGMA_SELECTED if selected else Method.KNOWN_SIGMA
-    try:
-        sigma, diag = _resolve_sigma(req)
-        trace, part, V, bundle = _prepare(req)
-        diag = {**diag, "pairs_tested": [list(pair) for pair in V.pairs]}
-        return _known_sigma_result(req, trace, bundle, sigma, method, diag, V)
-    except NotAvailable as e:
-        return PValueResult.not_available(method, str(e))
+    return _joint_test(req, Method.KNOWN_SIGMA, Method.KNOWN_SIGMA_SELECTED)
 
 
-def _known_sigma_result(
-    req: TestRequest,
-    trace: KMeansTrace,
-    bundle,
-    sigma: float,
-    method: Method,
-    diag: dict,
-    V: PairSet | None = None,
-) -> PValueResult:
-    X = req.data
-    path = known_path(X, bundle, sigma)
-    S = _clustering_known(trace, path)
-    if method == Method.KNOWN_SIGMA_SELECTED:
-        S = interval_intersect(
-            S, _selection_known(trace.final_partition(), path, req.rule, V)
-        )
-    spec = TruncatedDistSpec.chi(bundle.d, S)
-    p, info = truncated_survival_info(path.psi_obs, spec)
-    return PValueResult(
-        statistic=path.psi_obs,
-        df_num=bundle.d,
-        df_den=None,
-        truncation=S,
-        p_value=p,
-        method=method,
-        diagnostics={**diag, **info},
-    )
+def test_unknown_sigma(req: TestRequest) -> PValueResult:
+    """The F-based test with the noise scale estimated in-sample from
+    the within-cluster spread of the tested clusters.
+
+    The statistic is the ratio of the mean squared between-cluster
+    component to the mean squared within-cluster component; its
+    reference law is F with (q*rank, d*) degrees of freedom truncated
+    to the conditioning set.
+    """
+    if req.variance.kind != "unknown":
+        raise ValueError("test_unknown_sigma takes variance kind 'unknown'")
+    return _joint_test(req, Method.UNKNOWN_SIGMA, Method.UNKNOWN_SIGMA_SELECTED)
 
 
 def test_pairwise_known(req: TestRequest, k: int, kp: int) -> PValueResult:
     """The single-pair test of mean equality between clusters k and kp,
-    conditioned on the clustering history. Identical to test_known_sigma
-    with the fixed pair list {(k, kp)} apart from the method tag."""
-    if k > kp:
-        k, kp = kp, k
-    sub = TestRequest(
-        data=req.data,
-        kmeans_cfg=req.kmeans_cfg,
-        rule=SelectionRule.fixed([(k, kp)]),
-        variance=req.variance,
-        account_selection=False,
-    )
-    res = test_known_sigma(sub)
-    return PValueResult(
-        statistic=res.statistic,
-        df_num=res.df_num,
-        df_den=res.df_den,
-        truncation=res.truncation,
-        p_value=res.p_value,
-        method=Method.PAIRWISE_KNOWN,
-        degenerate=res.degenerate,
-        diagnostics=res.diagnostics,
-    )
+    conditioned on the clustering history: test_known_sigma with the
+    fixed pair list {(k, kp)}, tagged as a pairwise test."""
+    sub = replace(req, rule=SelectionRule.fixed([(k, kp)]), account_selection=False)
+    return replace(test_known_sigma(sub), method=Method.PAIRWISE_KNOWN)
 
 
 def test_bonferroni(req: TestRequest) -> PValueResult:
@@ -234,19 +228,15 @@ def test_bonferroni(req: TestRequest) -> PValueResult:
         raise ValueError("test_bonferroni needs a known or plug-in sigma")
     try:
         sigma, diag = _resolve_sigma(req)
-        trace, part, V, _ = _prepare(req)
+        trace, part, V = _prepare(req)
+        results = []
+        for pair in V.pairs:
+            one = PairSet((pair,), part.K)
+            bundle = build_projection(part, one, req.data.q)
+            res = _test(req, trace, one, bundle, sigma, Method.PAIRWISE_KNOWN, diag)
+            results.append(res)
     except NotAvailable as e:
         return PValueResult.not_available(Method.BONFERRONI, str(e))
-    results = []
-    for k, kp in V.pairs:
-        pair_bundle = build_projection(part, PairSet(((k, kp),), part.K), req.data.q)
-        try:
-            res = _known_sigma_result(
-                req, trace, pair_bundle, sigma, Method.PAIRWISE_KNOWN, diag
-            )
-        except NotAvailable as e:
-            return PValueResult.not_available(Method.BONFERRONI, str(e))
-        results.append(res)
     best = min(range(len(results)), key=lambda i: results[i].p_value)
     winner = results[best]
     return PValueResult(
@@ -265,36 +255,12 @@ def test_bonferroni(req: TestRequest) -> PValueResult:
     )
 
 
-def test_unknown_sigma(req: TestRequest) -> PValueResult:
-    """The F-based test with the noise scale estimated in-sample from
-    the within-cluster spread of the tested clusters.
-
-    The statistic is the ratio of the mean squared between-cluster
-    component to the mean squared within-cluster component; its
-    reference law is F with (q*rank, d*) degrees of freedom truncated
-    to the conditioning set.
-    """
-    if req.variance.kind != "unknown":
-        raise ValueError("test_unknown_sigma takes variance kind 'unknown'")
-    selected = req.account_selection and req.rule.is_data_dependent
-    method = Method.UNKNOWN_SIGMA_SELECTED if selected else Method.UNKNOWN_SIGMA
-    try:
-        trace, part, V, bundle = _prepare(req)
-        X = req.data
-        path = unknown_path(X, part, bundle)
-        S = _clustering_unknown(trace, path)
-        if selected:
-            S = interval_intersect(S, _selection_unknown(part, path, req.rule, V))
-        spec = TruncatedDistSpec.fisher_f(bundle.d, bundle.d_star, S)
-        p, info = truncated_survival_info(path.psi_obs, spec)
-        return PValueResult(
-            statistic=path.psi_obs,
-            df_num=bundle.d,
-            df_den=bundle.d_star,
-            truncation=S,
-            p_value=p,
-            method=method,
-            diagnostics={"pairs_tested": [list(pair) for pair in V.pairs], **info},
-        )
-    except NotAvailable as e:
-        return PValueResult.not_available(method, str(e))
+def run_test(req: TestRequest, bonferroni: bool = False) -> PValueResult:
+    """The test a request asks for: the Bonferroni baseline over a fixed
+    pair list when bonferroni is set, otherwise the F test for variance
+    kind 'unknown' and the chi test for every other kind."""
+    if bonferroni:
+        return test_bonferroni(req)
+    if req.variance.kind == "unknown":
+        return test_unknown_sigma(req)
+    return test_known_sigma(req)

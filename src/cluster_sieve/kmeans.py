@@ -136,24 +136,6 @@ def run_kmeans(X: DataMatrix, cfg: KMeansConfig) -> KMeansTrace:
     )
 
 
-def centroid_of(A: DataMatrix, trace: KMeansTrace, l: int, j: int) -> np.ndarray:
-    """Mean of the rows of A carrying label l at trace step j-1.
-
-    This is the center cluster l uses during step j's reassignment,
-    evaluated on an arbitrary matrix A with the trace's weights.
-    """
-    if not 1 <= j <= trace.J:
-        raise ValueError(f"step index must lie in [1, {trace.J}], got {j}")
-    if not 0 <= l < trace.K:
-        raise ValueError(f"cluster index must lie in [0, {trace.K}), got {l}")
-    if A.n != trace.n:
-        raise ValueError("row count mismatch between A and the trace")
-    mask = trace.assignments[j - 1] == l
-    if not mask.any():
-        raise DegenerateClustering(f"cluster {l} empty at step {j - 1}")
-    return A.values[mask].mean(axis=0)
-
-
 def step_centroids(values: np.ndarray, trace: KMeansTrace, j: int) -> np.ndarray:
     """All K step-j centers of `values` at once: row l is the mean of the
     rows labeled l at step j-1, or the init row itself when j = 0."""

@@ -139,10 +139,6 @@ def apply_PE(bundle: ProjectionBundle, A: np.ndarray) -> np.ndarray:
     return b @ (b.T @ A)
 
 
-def apply_PE_perp(bundle: ProjectionBundle, A: np.ndarray) -> np.ndarray:
-    return A - apply_PE(bundle, A)
-
-
 def apply_P1(part: ClusterPartition, touched: tuple[int, ...], A: np.ndarray) -> np.ndarray:
     """Within-cluster centering over the touched clusters: row i becomes
     A_i minus its cluster mean if i's cluster is touched, else zero."""
@@ -152,10 +148,3 @@ def apply_P1(part: ClusterPartition, touched: tuple[int, ...], A: np.ndarray) ->
         out[rows] = A[rows] - A[rows].mean(axis=0)
     return out
 
-
-def apply_P2(
-    bundle: ProjectionBundle, part: ClusterPartition, A: np.ndarray
-) -> np.ndarray:
-    """The remainder projection: A minus its contrast-span part and its
-    touched within-cluster part."""
-    return A - apply_PE(bundle, A) - apply_P1(part, bundle.touched, A)

@@ -15,13 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DataMatrix, PValueResult
-from .inference import (
-    TestRequest,
-    VarianceSpec,
-    test_bonferroni,
-    test_known_sigma,
-    test_unknown_sigma,
-)
+from .inference import TestRequest, VarianceSpec, run_test
 from .kmeans import KMeansConfig
 from .selection import SelectionRule
 
@@ -53,8 +47,10 @@ class SimConfig:
             raise ValueError(f"unknown mean layout {self.mu_kind!r}")
         if self.n < 2 or self.q < 1 or self.K < 2:
             raise ValueError("need n >= 2, q >= 1, K >= 2")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if self.K > self.n:
+            raise ValueError(f"K={self.K} exceeds the number of rows n={self.n}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be finite and positive")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
         if self.mu_kind != "null":
@@ -68,6 +64,12 @@ class SimConfig:
             raise ValueError("need at least one replicate")
         if self.bonferroni and self.rule.is_data_dependent:
             raise ValueError("the Bonferroni baseline needs a fixed pair list")
+        if self.rule.g is not None and self.rule.g > self.K * (self.K - 1) // 2:
+            raise ValueError(f"g={self.rule.g} exceeds the number of cluster pairs")
+        if self.kmeans_max_iter < 1:
+            raise ValueError("kmeans_max_iter must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -142,11 +144,7 @@ def run_replicate(cfg: SimConfig, rep: int) -> PValueResult:
         variance=cfg.variance,
         account_selection=cfg.account_selection,
     )
-    if cfg.bonferroni:
-        return test_bonferroni(req)
-    if cfg.variance.kind == "unknown":
-        return test_unknown_sigma(req)
-    return test_known_sigma(req)
+    return run_test(req, bonferroni=cfg.bonferroni)
 
 
 def _one_pvalue(args) -> tuple[int, float]:

@@ -36,7 +36,7 @@ from .core import (
 )
 from .kmeans import KMeansTrace, step_centroids
 from .projection import PairSet, ProjectionBundle, apply_P1, apply_PE
-from .selection import SelectionRule, pair_center_diffs, select_pairs
+from .selection import SelectionRule, pair_center_diffs
 
 # Candidate quartic roots are accepted with deliberately loose tolerances:
 # spurious candidates only refine the sign partition, while a missed real
@@ -349,9 +349,9 @@ def unknown_path(
 def _intersect_batches(batches, solve) -> IntervalUnion:
     """The intersection of the solution sets of every row of every batch,
     a batch being a tuple of row-aligned arrays that solve(*arrays) turns
-    into (pieces, row count). Batches (one per Lloyd step) are built and
-    solved one at a time against the running set, stopping once it is
-    empty."""
+    into (pieces, row count). Batches (one per Lloyd step, one for the
+    selection event) are built and solved one at a time against the
+    running set, stopping once it is empty."""
     S = _HALF_LINE
     for rows in batches:
         S = _intersect(S, *solve(*rows))
@@ -471,103 +471,64 @@ def _selection_rows(rule: SelectionRule, V: PairSet, pairs, coef: np.ndarray, ga
     return rows, np.arange(len(rows)) >= len(sel)
 
 
-def _clustering_known(trace: KMeansTrace, path: KnownPath) -> IntervalUnion:
-    steps = ((_known_rows(trace, path, j),) for j in range(trace.J + 1))
-    return _intersect_batches(steps, _solve_quad)
-
-
-def _selection_known(
-    part: ClusterPartition, path: KnownPath, rule: SelectionRule, V: PairSet
-) -> IntervalUnion:
-    pairs, grams = _pair_grams((path.D, path.E), part, _QUAD_TERMS)
-    # per-pair coefficients of ||x(psi)^T v||^2 = a*psi^2 + b*psi + c
-    coef = np.column_stack([grams[0], 2.0 * grams[1], grams[2]])
-    gamma = None if rule.threshold is None else np.array([0.0, 0.0, rule.threshold**2])
-    rows, strict = _selection_rows(rule, V, pairs, coef, gamma)
-    return _intersect_batches([(rows, strict)], _solve_quad)
-
-
-def _clustering_unknown(trace: KMeansTrace, path: UnknownPath) -> IntervalUnion:
-    steps = ((_unknown_rows(trace, path, j),) for j in range(trace.J + 1))
-    return _intersect_batches(steps, lambda lam: _solve_radical(lam, path.r_star))
-
-
-def _selection_unknown(
-    part: ClusterPartition, path: UnknownPath, rule: SelectionRule, V: PairSet
-) -> IntervalUnion:
+def _selection_batch(path, part: ClusterPartition, V: PairSet):
+    """The selection event V on partition part as one batch of the path's
+    family: (quadratic rows, strict flags) or (radical rows,)."""
+    rule = V.rule
+    if isinstance(path, KnownPath):
+        pairs, grams = _pair_grams((path.D, path.E), part, _QUAD_TERMS)
+        # per-pair coefficients of ||x(psi)^T v||^2 = a*psi^2 + b*psi + c
+        coef = np.column_stack([grams[0], 2.0 * grams[1], grams[2]])
+        gamma = None if rule.threshold is None else np.array([0.0, 0.0, rule.threshold**2])
+        return _selection_rows(rule, V, pairs, coef, gamma)
+    # Projected center differences have no within-cluster component, so
+    # each pair's squared norm already is a radical form; thresholds enter
+    # as the affine form gamma1*psi + gamma2 subtracted from it.
     rs = path.r_star
     pairs, grams = _pair_grams((path.A, path.B, path.C), part, _RADICAL_TERMS)
-    lam = _radical_rows(*grams, rs)
     gamma = None
     if rule.threshold is not None:
         t2 = rule.threshold**2
         gamma = np.array([t2 / path.total_sq, 0.0, 0.0, 0.0, rs * t2 / path.total_sq])
     # Ties have probability zero; the radical family keeps them (closed).
-    rows, _ = _selection_rows(rule, V, pairs, lam, gamma)
-    return _intersect_batches([(_clean_radical(rows, rs),)], lambda lam: _solve_radical(lam, rs))
+    rows, _ = _selection_rows(rule, V, pairs, _radical_rows(*grams, rs), gamma)
+    return (_clean_radical(rows, rs),)
 
 
-def known_sigma_truncation(
-    X: DataMatrix, trace: KMeansTrace, bundle: ProjectionBundle, sigma: float
+def truncation_set(
+    path: KnownPath | UnknownPath,
+    trace: KMeansTrace | None = None,
+    selection: tuple[ClusterPartition, PairSet] | None = None,
 ) -> IntervalUnion:
-    """The set of psi for which x(psi) reproduces every assignment of
-    every recorded iteration, given the variance.
+    """The set S of psi >= 0 for which x(psi) = path.at(psi) reproduces
+    every assignment of every Lloyd step of `trace` and, given
+    `selection` = (partition, V), for which V.rule applied to x(psi) on
+    that partition picks exactly the pairs of V.
 
-    Step 0 compares distances to the initial center rows of x(psi);
-    later steps compare distances to the centroids computed from the
-    previous step's labels. Each comparison against a competitor
-    cluster is one quadratic inequality; competitors equal to the
-    assigned cluster are vacuous and skipped.
+    A KnownPath gives quadratic inequalities, an UnknownPath radical
+    ones. Step 0 compares distances to the initial center rows of
+    x(psi), later steps to the centroids of the previous step's labels;
+    each comparison against a competitor cluster is one inequality.
+    Every Lloyd step and the selection event are one batch each,
+    intersected in one sweep. Leaving out `trace` or `selection` leaves
+    out that event.
     """
-    return _clustering_known(trace, known_path(X, bundle, sigma))
+    if isinstance(path, KnownPath):
+        step_rows, solve = _known_rows, _solve_quad
+    else:
+        step_rows, solve = _unknown_rows, lambda lam: _solve_radical(lam, path.r_star)
+    if selection is not None:
+        part, V = selection
+        if V.rule is None or not V.rule.is_data_dependent:
+            raise ValueError("selection truncation applies to data-dependent rules only")
+        if trace is not None and not np.array_equal(part.labels, trace.assignments[-1]):
+            raise ValueError("the selection's partition is not the trace's final one")
 
+    def batches():
+        if trace is not None:
+            for j in range(trace.J + 1):
+                yield (step_rows(trace, path, j),)
+        if selection is not None:
+            yield _selection_batch(path, *selection)
 
-def selection_truncation_known(
-    X: DataMatrix,
-    trace: KMeansTrace,
-    bundle: ProjectionBundle,
-    sigma: float,
-    rule: SelectionRule,
-) -> IntervalUnion:
-    """The set of psi for which the selection rule applied to x(psi)
-    picks exactly the observed pairs.
-
-    Rank rules pin every selected pair strictly ahead of every
-    unselected one; threshold rules pin each pair to its own side of the
-    threshold. Center differences are affine in psi, so each comparison
-    is again one quadratic inequality.
-    """
-    if not rule.is_data_dependent:
-        raise ValueError("selection truncation applies to data-dependent rules only")
-    part = trace.final_partition()
-    V = select_pairs(X, part, rule)
-    return _selection_known(part, known_path(X, bundle, sigma), rule, V)
-
-
-def unknown_sigma_truncation(
-    X: DataMatrix, trace: KMeansTrace, part: ClusterPartition, bundle: ProjectionBundle
-) -> IntervalUnion:
-    """The set of psi for which the estimated-variance perturbation
-    reproduces every recorded assignment. Each comparison is one
-    radical-form inequality."""
-    return _clustering_unknown(trace, unknown_path(X, part, bundle))
-
-
-def selection_truncation_unknown(
-    X: DataMatrix,
-    trace: KMeansTrace,
-    part: ClusterPartition,
-    bundle: ProjectionBundle,
-    rule: SelectionRule,
-) -> IntervalUnion:
-    """The set of psi for which the selection rule applied to the
-    estimated-variance perturbation picks the observed pairs.
-
-    Projected center differences have no within-cluster component, so
-    each pair's squared norm already is a radical form; thresholds enter
-    as the affine form gamma1*psi + gamma2 subtracted from it.
-    """
-    if not rule.is_data_dependent:
-        raise ValueError("selection truncation applies to data-dependent rules only")
-    V = select_pairs(X, part, rule)
-    return _selection_unknown(part, unknown_path(X, part, bundle), rule, V)
+    return _intersect_batches(batches(), solve)

@@ -4,8 +4,9 @@ These solve one inequality per call with plain Python arithmetic and
 serve as test oracles for the batched numpy solvers in
 cluster_sieve.truncation: the same stable-root quadratic formula, and
 the same quartic candidate set and midpoint sign scan for the radical
-form. `fold_intersection` intersects their solutions pairwise with
-interval_intersect, the reference for the batched sweep.
+form. `interval_intersect` is the scalar two-list sweep, and
+`fold_intersection` intersects their solutions pairwise with it: the
+reference for the batched sweep.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cluster_sieve.core import INF, Interval, IntervalUnion, interval_intersect
+from cluster_sieve.core import INF, Interval, IntervalUnion
 from cluster_sieve.truncation import _IMAG_TOL, _RESIDUAL_TOL, _ROOT_COLLAPSE
 
 
@@ -199,6 +200,42 @@ def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
     if g_of_y(dedup[-1] + 1.0) <= 0.0:
         pieces.append(Interval(dedup[-1] ** 2, INF))
     return IntervalUnion(tuple(pieces))
+
+
+def interval_intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
+    """Intersection of two interval unions.
+
+    Linear sweep over the two sorted interval lists.
+    """
+    out = []
+    ai, bi = 0, 0
+    xs, ys = a.intervals, b.intervals
+    while ai < len(xs) and bi < len(ys):
+        x, y = xs[ai], ys[bi]
+        lo = max(x.lo, y.lo)
+        hi = min(x.hi, y.hi)
+        if lo < hi or (lo == hi and _closed_at(x, lo) and _closed_at(y, lo)):
+            lo_closed = _closed_at(x, lo) and _closed_at(y, lo)
+            hi_closed = _closed_hi_at(x, hi) and _closed_hi_at(y, hi)
+            out.append(Interval(lo, hi, lo_closed, hi_closed))
+        if x.hi <= y.hi:
+            ai += 1
+        else:
+            bi += 1
+    return IntervalUnion(tuple(out))
+
+
+def _closed_at(iv: Interval, point: float) -> bool:
+    # Closedness of iv at `point` approached as a lower endpoint.
+    if point == iv.lo:
+        return iv.lo_closed
+    return True
+
+
+def _closed_hi_at(iv: Interval, point: float) -> bool:
+    if point == iv.hi:
+        return iv.hi_closed
+    return True
 
 
 def fold_intersection(sets, S: IntervalUnion | None = None) -> IntervalUnion:

@@ -24,7 +24,6 @@ from cluster_sieve.core import (
     DataMatrix,
     NotAvailable,
     interval_contains,
-    interval_intersect,
 )
 from cluster_sieve.distributions import (
     TruncatedDistSpec,
@@ -38,14 +37,7 @@ from cluster_sieve.kmeans import KMeansConfig, replay_matches, run_kmeans
 from cluster_sieve.projection import PairSet, apply_P1, apply_PE, build_projection
 from cluster_sieve.selection import SelectionRule, select_pairs
 from cluster_sieve.simulation import SimConfig, run_power, run_type1
-from cluster_sieve.truncation import (
-    known_path,
-    known_sigma_truncation,
-    selection_truncation_known,
-    selection_truncation_unknown,
-    unknown_path,
-    unknown_sigma_truncation,
-)
+from cluster_sieve.truncation import known_path, truncation_set, unknown_path
 
 from conftest import gauss_data
 
@@ -129,7 +121,7 @@ def test_truncation_sets_match_replay_oracles():
             continue
         if done["known"] < 50:
             path = known_path(X, bundle, 1.0)
-            S = known_sigma_truncation(X, trace, bundle, 1.0)
+            S = truncation_set(path, trace)
             b, c = _scan(S, path, _clustering_oracle(trace, path))
             bad += b
             checked += c
@@ -139,7 +131,7 @@ def test_truncation_sets_match_replay_oracles():
                 path = unknown_path(X, part, bundle)
             except NotAvailable:
                 continue
-            S = unknown_sigma_truncation(X, trace, part, bundle)
+            S = truncation_set(path, trace)
             b, c = _scan(S, path, _clustering_oracle(trace, path))
             bad += b
             checked += c
@@ -161,10 +153,7 @@ def test_truncation_sets_match_replay_oracles():
             continue
         if done["known_sel"] < 50:
             path = known_path(X, bundle, 1.0)
-            S = known_sigma_truncation(X, trace, bundle, 1.0)
-            S = interval_intersect(
-                S, selection_truncation_known(X, trace, bundle, 1.0, rule)
-            )
+            S = truncation_set(path, trace, selection=(part, V))
             b, c = _scan(S, path, _selected_oracle(trace, part, rule, V, path))
             bad += b
             checked += c
@@ -174,10 +163,7 @@ def test_truncation_sets_match_replay_oracles():
                 path = unknown_path(X, part, bundle)
             except NotAvailable:
                 continue
-            S = unknown_sigma_truncation(X, trace, part, bundle)
-            S = interval_intersect(
-                S, selection_truncation_unknown(X, trace, part, bundle, rule)
-            )
+            S = truncation_set(path, trace, selection=(part, V))
             b, c = _scan(S, path, _selected_oracle(trace, part, rule, V, path))
             bad += b
             checked += c

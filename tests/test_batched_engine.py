@@ -2,8 +2,9 @@
 
 Row by row, the numpy solvers must return exactly the sets the scalar
 solvers in oracles.py return; over whole Lloyd traces and selection
-events, the one-sweep intersection must return the set that folding the
-oracle solutions through interval_intersect returns.
+events, and over both together, the one-sweep intersection must return
+the set that folding the oracle solutions through the scalar
+interval_intersect returns.
 """
 import numpy as np
 import pytest
@@ -25,11 +26,8 @@ from cluster_sieve.truncation import (
     _solve_radical,
     _unknown_rows,
     known_path,
-    known_sigma_truncation,
-    selection_truncation_known,
-    selection_truncation_unknown,
+    truncation_set,
     unknown_path,
-    unknown_sigma_truncation,
 )
 from cluster_sieve.selection import pair_center_diffs
 
@@ -203,10 +201,8 @@ class TestIntersectionAgainstFold:
             path = known_path(X, bundle, 1.0)
         except NotAvailable:
             assume(False)
-        want = fold_intersection(
-            quad_rows_set(_known_rows(trace, path, j)) for j in range(trace.J + 1)
-        )
-        assert_same_set(known_sigma_truncation(X, trace, bundle, 1.0), want, rel=1e-12)
+        steps = [quad_rows_set(_known_rows(trace, path, j)) for j in range(trace.J + 1)]
+        assert_same_set(truncation_set(path, trace), fold_intersection(steps), rel=1e-12)
         if rule.is_data_dependent:
             pairs, dD = pair_center_diffs(path.D, part)
             _, dE = pair_center_diffs(path.E, part)
@@ -215,8 +211,10 @@ class TestIntersectionAgainstFold:
             )
             gamma = None if rule.threshold is None else np.array([0.0, 0.0, rule.threshold**2])
             rows, strict = _selection_rows(rule, V, pairs, coef, gamma)
-            got = selection_truncation_known(X, trace, bundle, 1.0, rule)
-            assert_same_set(got, quad_rows_set(rows, strict), rel=1e-12)
+            want = quad_rows_set(rows, strict)
+            assert_same_set(truncation_set(path, selection=(part, V)), want, rel=1e-12)
+            both = truncation_set(path, trace, selection=(part, V))
+            assert_same_set(both, fold_intersection(steps + [want]), rel=1e-12)
 
     @SETTINGS
     @given(instances, st.sampled_from(sorted(RULES)))
@@ -232,11 +230,8 @@ class TestIntersectionAgainstFold:
         except NotAvailable:
             assume(False)
         rs = path.r_star
-        want = fold_intersection(
-            radical_rows_set(_unknown_rows(trace, path, j), rs) for j in range(trace.J + 1)
-        )
-        got = unknown_sigma_truncation(X, trace, part, bundle)
-        assert_same_set(got, want, rel=1e-12)
+        steps = [radical_rows_set(_unknown_rows(trace, path, j), rs) for j in range(trace.J + 1)]
+        assert_same_set(truncation_set(path, trace), fold_intersection(steps), rel=1e-12)
         if rule.is_data_dependent:
             diffs = [pair_center_diffs(U, part)[1] for U in (path.A, path.B, path.C)]
             lam = _radical_rows(*(
@@ -248,8 +243,10 @@ class TestIntersectionAgainstFold:
                 t2 = rule.threshold**2 / path.total_sq
                 gamma = np.array([t2, 0.0, 0.0, 0.0, rs * t2])
             rows, _ = _selection_rows(rule, V, pair_center_diffs(path.A, part)[0], lam, gamma)
-            got = selection_truncation_unknown(X, trace, part, bundle, rule)
-            assert_same_set(got, radical_rows_set(_clean_radical(rows, rs), rs), rel=1e-12)
+            want = radical_rows_set(_clean_radical(rows, rs), rs)
+            assert_same_set(truncation_set(path, selection=(part, V)), want, rel=1e-12)
+            both = truncation_set(path, trace, selection=(part, V))
+            assert_same_set(both, fold_intersection(steps + [want]), rel=1e-12)
 
 
 class TestNoiseLevelCoefficients:

@@ -98,6 +98,27 @@ class TestExitCodes:
         )
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["test", "FILE", "--k", 3, "--sigma", 1, "--select", "top:5"],
+        ["test", "FILE", "--k", 2, "--sigma", 1, "--max-iter", 0],
+        ["test", "FILE", "--k", 2, "--sigma", 1, "--seed", -1],
+        ["test", "FILE", "--k", 2, "--sigma", "nan"],
+        ["test", "FILE", "--k", 2, "--sigma", "inf"],
+        ["simulate", "type1", "--n", 3, "--q", 2, "--k", 5],
+        ["simulate", "power", "--n", 12, "--q", 2, "--k", 2, "--delta-grid=-1,0"],
+        ["simulate", "type1", "--n", 12, "--q", 2, "--k", 2, "--max-iter", 0],
+        ["simulate", "type1", "--n", 12, "--q", 2, "--k", 2, "--seed", -1],
+        ["simulate", "type1", "--n", 12, "--q", 2, "--k", 3, "--select", "top:9"],
+    ])
+    def test_bad_values_exit_2(self, argv, blob_csv, tmp_path):
+        argv = [blob_csv if a == "FILE" else a for a in argv]
+        if argv[0] == "simulate":
+            argv += ["--out", tmp_path / "x", "--replicates", 2]
+        r = run_cli(*argv)
+        assert r.returncode == 2
+        assert "error:" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_ok_run(self, blob_csv):
         r = run_cli("test", blob_csv, "--k", 2, "--sigma", 1)
         assert r.returncode == 0
@@ -220,6 +241,11 @@ class TestSimulateCommand:
         record = json.loads((tmp_path / "t1_run_record.json").read_text())
         assert record["command"][0] == "simulate"
         assert len(record["outputs"]) == 3
+        assert set(record["config"]) == {
+            "mode", "n", "q", "K", "sigma", "mu_kind", "delta", "delta_grid",
+            "replicates", "rule", "variance", "account_selection", "bonferroni",
+            "alpha", "master_seed", "kmeans_max_iter", "workers",
+        }
 
     def test_power_grid(self, tmp_path):
         prefix = tmp_path / "pw"

@@ -39,6 +39,9 @@ class TestSpecs:
             inf.VarianceSpec.known(0.0)
         with pytest.raises(ValueError):
             inf.VarianceSpec.known(-1.0)
+        for sigma in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                inf.VarianceSpec.known(sigma)
         with pytest.raises(ValueError):
             inf.VarianceSpec(kind="unknown", sigma=1.0)
         assert inf.VarianceSpec.plug_in_sample().sigma is None
@@ -49,6 +52,27 @@ class TestSpecs:
             request(X, 2, rule=SelectionRule.fixed([(0, 1)]), account=True)
         # fine with a rank rule
         request(X, 2, rule=SelectionRule.top_g(1), account=True)
+
+
+# The five variants of the calibration benchmark: rule, variance,
+# account_selection, bonferroni, and the entry point run_test must match.
+KNOWN, UNKNOWN = inf.VarianceSpec.known(1.0), inf.VarianceSpec.unknown()
+VARIANTS = {
+    "known_all": (None, KNOWN, False, False, inf.test_known_sigma),
+    "unknown_all": (None, UNKNOWN, False, False, inf.test_unknown_sigma),
+    "bonferroni": (None, KNOWN, False, True, inf.test_bonferroni),
+    "known_top1": (SelectionRule.top_g(1), KNOWN, True, False, inf.test_known_sigma),
+    "unknown_top1": (SelectionRule.top_g(1), UNKNOWN, True, False, inf.test_unknown_sigma),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_run_test_matches_the_entry_point(variant):
+    rule, variance, account, bonferroni, entry = VARIANTS[variant]
+    req = request(gauss_data(3, 60, 2), 3, rule=rule, variance=variance, account=account)
+    got = inf.run_test(req, bonferroni=bonferroni)
+    assert not got.degenerate
+    assert got == entry(req)
 
 
 class TestScaleEstimators:
@@ -171,6 +195,21 @@ class TestReductions:
         res = inf.test_bonferroni(request(X, 2, rule=SelectionRule.fixed([(0, 1)])))
         pair = inf.test_pairwise_known(request(X, 2), 0, 1)
         assert res.p_value == pair.p_value
+
+    def test_bonferroni_pair_of_singletons_is_na(self):
+        # two far outliers become singleton clusters: their pair has no
+        # within-cluster spread, which is an NA result, not an exception
+        x = np.random.default_rng(0).normal(size=(20, 2))
+        x[0], x[1] = [50.0, 0.0], [0.0, 50.0]
+        req = inf.TestRequest(
+            data=DataMatrix(x),
+            kmeans_cfg=KMeansConfig(K=3, init_indices=(0, 1, 2)),
+            rule=SelectionRule.fixed_all(3),
+            variance=inf.VarianceSpec.known(1.0),
+        )
+        res = inf.test_bonferroni(req)
+        assert res.degenerate and res.method is Method.BONFERRONI
+        assert "singleton" in res.diagnostics["reason"]
 
     def test_bonferroni_rejects_data_dependent_rules(self):
         X = gauss_data(0, 16, 2)

@@ -6,7 +6,6 @@ from cluster_sieve.core import DataMatrix, DegenerateClustering
 from cluster_sieve.kmeans import (
     KMeansConfig,
     KMeansTrace,
-    centroid_of,
     replay_matches,
     run_kmeans,
     step_centroids,
@@ -75,28 +74,19 @@ class TestRunKMeans:
 
 
 class TestCentroids:
-    def test_centroid_of_matches_group_mean(self):
+    def test_step_centroids_match_group_mean(self):
         X = two_blobs(seed=2)
         trace = run_kmeans(X, KMeansConfig(K=2, seed=0))
+        got = step_centroids(X.values, trace, 1)
         for l in range(2):
             mask = trace.assignments[0] == l
-            np.testing.assert_allclose(
-                centroid_of(X, trace, l, 1), X.values[mask].mean(axis=0)
-            )
+            np.testing.assert_allclose(got[l], X.values[mask].mean(axis=0))
 
     def test_step0_centroids_are_init_rows(self):
         X = two_blobs(seed=2)
         trace = run_kmeans(X, KMeansConfig(K=2, seed=0))
         got = step_centroids(X.values, trace, 0)
         np.testing.assert_array_equal(got, X.values[list(trace.init_indices)])
-
-    def test_centroid_of_bounds_checked(self):
-        X = two_blobs(seed=2)
-        trace = run_kmeans(X, KMeansConfig(K=2, seed=0))
-        with pytest.raises(ValueError):
-            centroid_of(X, trace, 0, 0)
-        with pytest.raises(ValueError):
-            centroid_of(X, trace, 5, 1)
 
 
 class TestReplay:

@@ -10,6 +10,7 @@ import pytest
 
 from cluster_sieve.core import (
     INF,
+    ClusterPartition,
     DataMatrix,
     IntervalUnion,
     interval_contains,
@@ -17,14 +18,7 @@ from cluster_sieve.core import (
 from cluster_sieve.kmeans import KMeansConfig, replay_matches, run_kmeans
 from cluster_sieve.projection import PairSet, apply_PE, build_projection
 from cluster_sieve.selection import SelectionRule, select_pairs
-from cluster_sieve.truncation import (
-    known_path,
-    known_sigma_truncation,
-    selection_truncation_known,
-    selection_truncation_unknown,
-    unknown_path,
-    unknown_sigma_truncation,
-)
+from cluster_sieve.truncation import known_path, truncation_set, unknown_path
 
 from conftest import gauss_data, traced_instance
 from oracles import QuadCoeffs, SqrtCoeffs, solve_quad_leq, solve_sqrt_leq
@@ -251,7 +245,7 @@ class TestKnownSigmaTruncation:
             part = trace.final_partition()
             bundle = build_projection(part, PairSet(((0, 1),), 2), 2)
             path = known_path(X, bundle, 1.0)
-            S = known_sigma_truncation(X, trace, bundle, 1.0)
+            S = truncation_set(path, trace)
             assert interval_contains(S, path.psi_obs, tol=1e-9)
 
     def test_replay_oracle_agreement(self):
@@ -261,7 +255,7 @@ class TestKnownSigmaTruncation:
             part = trace.final_partition()
             bundle = build_projection(part, PairSet(((0, 1),), 2), 2)
             path = known_path(X, bundle, 1.0)
-            S = known_sigma_truncation(X, trace, bundle, 1.0)
+            S = truncation_set(path, trace)
             total += grid_against_replay(X, trace, S, path)
         assert total == 0
 
@@ -269,8 +263,8 @@ class TestKnownSigmaTruncation:
         X, trace = traced_instance(4, 16, 2, 2)
         part = trace.final_partition()
         bundle = build_projection(part, PairSet(((0, 1),), 2), 2)
-        S1 = known_sigma_truncation(X, trace, bundle, 1.0)
-        S2 = known_sigma_truncation(X, trace, bundle, 2.0)
+        S1 = truncation_set(known_path(X, bundle, 1.0), trace)
+        S2 = truncation_set(known_path(X, bundle, 2.0), trace)
         for a, b in zip(S1.intervals, S2.intervals):
             assert a.lo == pytest.approx(2.0 * b.lo, rel=1e-9, abs=1e-12)
             if np.isfinite(a.hi):
@@ -285,7 +279,7 @@ class TestUnknownSigmaTruncation:
             part = trace.final_partition()
             bundle = build_projection(part, PairSet(((0, 1),), 2), 2)
             path = unknown_path(X, part, bundle)
-            S = unknown_sigma_truncation(X, trace, part, bundle)
+            S = truncation_set(path, trace)
             assert interval_contains(S, path.psi_obs, tol=1e-9)
             total += grid_against_replay(X, trace, S, path, n_grid=120)
         assert total == 0
@@ -315,7 +309,7 @@ class TestSelectionTruncation:
             except Exception:
                 continue
             path = known_path(X, bundle, 1.0)
-            S_sel = selection_truncation_known(X, trace, bundle, 1.0, rule)
+            S_sel = truncation_set(path, selection=(part, V))
             assert interval_contains(S_sel, path.psi_obs, tol=1e-9)
             bad, checked = grid_selection_against_replay(
                 part, S_sel, path, rule, V
@@ -338,7 +332,7 @@ class TestSelectionTruncation:
             except Exception:
                 continue
             path = unknown_path(X, part, bundle)
-            S_sel = selection_truncation_unknown(X, trace, part, bundle, rule)
+            S_sel = truncation_set(path, selection=(part, V))
             assert interval_contains(S_sel, path.psi_obs, tol=1e-9)
             bad, checked = grid_selection_against_replay(
                 part, S_sel, path, rule, V, n_grid=120
@@ -350,8 +344,16 @@ class TestSelectionTruncation:
     def test_fixed_rule_rejected(self):
         X, trace = traced_instance(3, 16, 2, 2)
         part = trace.final_partition()
-        bundle = build_projection(part, PairSet(((0, 1),), 2), 2)
+        V = select_pairs(X, part, SelectionRule.fixed([(0, 1)]))
+        path = known_path(X, build_projection(part, V, 2), 1.0)
         with pytest.raises(ValueError):
-            selection_truncation_known(
-                X, trace, bundle, 1.0, SelectionRule.fixed([(0, 1)])
-            )
+            truncation_set(path, trace, selection=(part, V))
+
+    def test_partition_must_be_the_final_one(self):
+        X, trace = traced_instance(3, 18, 2, 3)
+        part = trace.final_partition()
+        V = select_pairs(X, part, SelectionRule.top_g(1))
+        path = known_path(X, build_projection(part, V, 2), 1.0)
+        other = ClusterPartition(np.roll(part.labels, 1), part.K)
+        with pytest.raises(ValueError):
+            truncation_set(path, trace, selection=(other, V))
