@@ -79,13 +79,20 @@ def _assign(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
+def cluster_sums(values: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    """The K x q sums of the rows of values by label. One bincount over
+    the flattened (label, column) index adds the rows in order, as
+    np.add.at does, so the sums are bit-identical to it."""
+    q = values.shape[1]
+    idx = (labels[:, None] * q + np.arange(q)).ravel()
+    return np.bincount(idx, weights=values.ravel(), minlength=K * q).reshape(K, q)
+
+
 def _step_centers(values: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
     sizes = np.bincount(labels, minlength=K)
     if np.any(sizes == 0):
         raise DegenerateClustering("a cluster emptied during iteration")
-    sums = np.zeros((K, values.shape[1]))
-    np.add.at(sums, labels, values)
-    return sums / sizes[:, None]
+    return cluster_sums(values, labels, K) / sizes[:, None]
 
 
 def run_kmeans(X: DataMatrix, cfg: KMeansConfig) -> KMeansTrace:

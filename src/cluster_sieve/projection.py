@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ClusterPartition, DegenerateWithin
+from .core import ClusterPartition
 
 if TYPE_CHECKING:
     from .selection import SelectionRule
@@ -101,8 +101,9 @@ def build_projection(part: ClusterPartition, V: PairSet, q: int) -> ProjectionBu
     contrasts, dropping singular values below
     max(n, |V|) * machine epsilon * (largest singular value).
 
-    Raises DegenerateWithin when every touched cluster is a singleton:
-    then d* = 0 and the variance-free statistic is undefined.
+    When every touched cluster is a singleton, d* and r* are 0: the
+    chi test needs no within-cluster spread, and the F test refuses
+    such a bundle (unknown_path raises DegenerateWithin).
     """
     if V.K != part.K:
         raise ValueError("pair set and partition disagree on K")
@@ -122,11 +123,6 @@ def build_projection(part: ClusterPartition, V: PairSet, q: int) -> ProjectionBu
     touched = V.touched
     d = q * r
     d_star = q * int(sum(part.sizes[k] for k in touched) - len(touched))
-    if d_star == 0:
-        raise DegenerateWithin(
-            "every cluster under test is a singleton; no within-cluster "
-            "spread is available"
-        )
     r_star = d_star / d
     return ProjectionBundle(
         basis_E=basis, r=r, touched=touched, d=d, d_star=d_star, r_star=r_star

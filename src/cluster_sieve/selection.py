@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClusterPartition, DataMatrix, EmptySelection
+from .kmeans import cluster_sums
 from .projection import PairSet
 
 _RANK_KINDS = ("top", "bottom")
@@ -87,9 +88,7 @@ def pair_center_diffs(
     """All pairs (k < k') with the q-vector difference of their cluster
     centers, which equals A^T v_(k,k') for the pair's contrast vector."""
     K = part.K
-    sums = np.zeros((K, values.shape[1]))
-    np.add.at(sums, part.labels, values)
-    means = sums / part.sizes[:, None]
+    means = cluster_sums(values, part.labels, K) / part.sizes[:, None]
     pairs = [(k, kp) for k in range(K) for kp in range(k + 1, K)]
     diffs = np.array([means[k] - means[kp] for k, kp in pairs])
     return pairs, diffs

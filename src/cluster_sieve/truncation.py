@@ -13,9 +13,11 @@ it takes the radical form
 solved exactly through a quartic in y = sqrt(psi).
 
 The inequalities are handled in batches, never one at a time: each
-Lloyd step, and the selection rule, yields one coefficient array; one
-numpy solver per family turns every row into interval pieces; and one
-sort-and-count sweep intersects those pieces with the running set.
+Lloyd step, and the selection rule, yields one coefficient array; an
+exact closed-form screen drops the rows that hold on all of psi >= 0;
+one numpy solver per family turns every other row into interval pieces;
+and one sort-and-count sweep intersects those pieces with the running
+set.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .core import (
     MERGE_TOL,
     ClusterPartition,
     DataMatrix,
+    DegenerateWithin,
     Interval,
     IntervalUnion,
     NotAvailable,
@@ -40,9 +43,18 @@ from .selection import SelectionRule, pair_center_diffs
 
 # Candidate quartic roots are accepted with deliberately loose tolerances:
 # spurious candidates only refine the sign partition, while a missed real
-# root could corrupt it.
+# root could corrupt it. A candidate's residual is accepted up to
+# _RESIDUAL_TOL or _RESIDUAL_ULPS ulps of the sum of its terms'
+# magnitudes, whichever is larger. The relative part: evaluating the
+# residual rounds at most six times along any term (about 3 ulps of that
+# sum), and a root y off by m ulps moves it by at most 2m ulps more, since
+# |y * d/dy| of each term is at most twice the term's bound. 32 ulps thus
+# keeps roots found to about 14 ulps, which eigvals meets for simple roots;
+# without it a root near y = 3e9, where the terms reach 1e16 and a
+# residual of 2 is rounding, was dropped.
 _IMAG_TOL = 1.0
 _RESIDUAL_TOL = 1.0
+_RESIDUAL_ULPS = 32.0
 _ROOT_COLLAPSE = 1e-30
 # Gram differences of the unit-normalized path matrices are O(1) (times
 # powers of r*), with cancellation noise around n*eps. Radical-form
@@ -241,8 +253,12 @@ def _solve_radical(lam: np.ndarray, rs: float):
         y = z.real
         # Squaring introduces sign-flipped impostors; keep only roots
         # where both sides genuinely meet.
-        gap = (l3 * y + l4) * np.sqrt(y * y + rs) + (l1 * y * y + l2 * y + l5)
-        real = (np.abs(z.imag) <= _IMAG_TOL) & (np.abs(gap) <= _RESIDUAL_TOL)
+        rt = np.sqrt(y * y + rs)
+        gap = (l3 * y + l4) * rt + (l1 * y * y + l2 * y + l5)
+        size = (np.abs(l3 * y) + np.abs(l4)) * rt + np.abs(l1 * y * y)
+        size = size + np.abs(l2 * y) + np.abs(l5)
+        tol = np.maximum(_RESIDUAL_TOL, _RESIDUAL_ULPS * np.finfo(float).eps * size)
+        real = (np.abs(z.imag) <= _IMAG_TOL) & (np.abs(gap) <= tol)
         # Roots of each side alone catch boundaries the squared equation
         # degenerates on (both sides vanishing identically).
         side = np.where(l3 != 0.0, -l4 / l3, np.nan)
@@ -276,6 +292,56 @@ def _solve_radical(lam: np.ndarray, rs: float):
     closed = np.ones(lo.shape, dtype=bool)
     pieces = _Pieces(rows[inside], lo[inside], hi[inside], closed[inside], (hi < INF)[inside])
     return _merge_touching(pieces), m
+
+
+def _never_positive(a, b, c) -> np.ndarray:
+    """Whether a*t^2 + b*t + c < 0 for every t >= 0, row by row: c < 0,
+    a <= 0, and either b <= 0 or the vertex value c - b^2/(4a) is
+    negative, i.e. b^2 < 4ac.
+
+    Exact for the coefficients as given, with no margin: the signs are
+    read off exactly, 4*a is exact unless it overflows (excluded), each
+    product is rounded once, and rounding is monotone, so fl(b*b) <
+    fl(4a*c) only where b^2 < 4ac.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a4 = 4.0 * a
+        vertex = (b * b < a4 * c) & (a4 > -INF)
+    return (c < 0.0) & (a <= 0.0) & ((b <= 0.0) | vertex)
+
+
+def _radical_met(lam: np.ndarray, rs: float) -> np.ndarray:
+    """Rows (l1, ..., l5) of lam whose radical form is negative on all of
+    psi >= 0.
+
+    In y = sqrt(psi) the form is l1*y^2 + l2*y + (l3*y + l4)*s + l5 with
+    s = sqrt(y^2 + r*) in [y, y + sqrt(r*)]. Linear in s, it lies below
+    its larger value at the two ends of that range, the quadratics in y
+    (l1+l3, l2+l4, l5) and (l1+l3, l2+l4+l3*sqrt(r*), l5+l4*sqrt(r*)); a
+    row is met when both are never positive on y >= 0.
+
+    Each summed coefficient is raised by 4 ulps of the sum of its terms'
+    magnitudes, plus the smallest normal number. The exact sum is at
+    most that: at most three roundings (the square root, the product
+    and an addition) reach any term, 1.5 ulps of the magnitudes, and
+    raising the rounded sum rounds once more (0.5 ulps); an underflowing
+    product errs by less than the smallest normal number. The exact
+    quadratics then lie below the raised ones on y >= 0, so a row is
+    dropped only when its exact form is negative on all of psi >= 0.
+    """
+    l1, l2, l3, l4, l5 = lam.T
+    srs = math.sqrt(rs)
+    t3, t4 = l3 * srs, l4 * srs
+    ulps = 4.0 * np.finfo(float).eps
+    tiny = np.finfo(float).tiny
+
+    def raised(*terms):
+        return sum(terms) + (ulps * sum(map(np.abs, terms)) + tiny)
+
+    a = raised(l1, l3)
+    return _never_positive(a, raised(l2, l4), l5) & _never_positive(
+        a, raised(l2, l4, t3), raised(l5, t4)
+    )
 
 
 @dataclass(frozen=True)
@@ -326,6 +392,11 @@ def known_path(X: DataMatrix, bundle: ProjectionBundle, sigma: float) -> KnownPa
 def unknown_path(
     X: DataMatrix, part: ClusterPartition, bundle: ProjectionBundle
 ) -> UnknownPath:
+    if bundle.d_star == 0:
+        raise DegenerateWithin(
+            "every cluster under test is a singleton; no within-cluster "
+            "spread is available"
+        )
     proj = apply_PE(bundle, X.values)
     within = apply_P1(part, bundle.touched, X.values)
     npe = float(np.linalg.norm(proj))
@@ -346,15 +417,20 @@ def unknown_path(
     )
 
 
-def _intersect_batches(batches, solve) -> IntervalUnion:
+def _intersect_batches(batches, solve, met) -> IntervalUnion:
     """The intersection of the solution sets of every row of every batch,
     a batch being a tuple of row-aligned arrays that solve(*arrays) turns
     into (pieces, row count). Batches (one per Lloyd step, one for the
     selection event) are built and solved one at a time against the
-    running set, stopping once it is empty."""
+    running set, stopping once it is empty. Rows that met(first array)
+    proves satisfied on all of psi >= 0 cannot bind the set and are
+    never solved."""
     S = _HALF_LINE
     for rows in batches:
-        S = _intersect(S, *solve(*rows))
+        live = ~met(rows[0])
+        if not live.any():
+            continue
+        S = _intersect(S, *solve(*(r[live] for r in rows)))
         if S.lo.size == 0:
             break
     return _to_union(S)
@@ -514,9 +590,11 @@ def truncation_set(
     out that event.
     """
     if isinstance(path, KnownPath):
-        step_rows, solve = _known_rows, _solve_quad
+        step_rows, solve, met = _known_rows, _solve_quad, lambda coef: _never_positive(*coef.T)
     else:
-        step_rows, solve = _unknown_rows, lambda lam: _solve_radical(lam, path.r_star)
+        rs = path.r_star
+        step_rows = _unknown_rows
+        solve, met = (lambda lam: _solve_radical(lam, rs)), (lambda lam: _radical_met(lam, rs))
     if selection is not None:
         part, V = selection
         if V.rule is None or not V.rule.is_data_dependent:
@@ -531,4 +609,4 @@ def truncation_set(
         if selection is not None:
             yield _selection_batch(path, *selection)
 
-    return _intersect_batches(batches(), solve)
+    return _intersect_batches(batches(), solve, met)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cluster_sieve.core import INF, Interval, IntervalUnion
-from cluster_sieve.truncation import _IMAG_TOL, _RESIDUAL_TOL, _ROOT_COLLAPSE
+from cluster_sieve.truncation import _IMAG_TOL, _RESIDUAL_TOL, _RESIDUAL_ULPS, _ROOT_COLLAPSE
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,13 @@ def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
     def f2(y: float) -> float:
         return -(l1 * y * y + l2 * y + l5)
 
+    def residual_tol(y: float) -> float:
+        # the larger of the absolute tolerance and _RESIDUAL_ULPS ulps of
+        # the sum of the magnitudes of the residual's terms
+        rt = math.sqrt(y * y + rs)
+        size = (abs(l3 * y) + abs(l4)) * rt + abs(l1 * y * y) + abs(l2 * y) + abs(l5)
+        return max(_RESIDUAL_TOL, _RESIDUAL_ULPS * np.finfo(float).eps * size)
+
     quartic = np.array(
         [
             l3 * l3 - l1 * l1,
@@ -168,7 +175,7 @@ def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
             if abs(z.imag) <= _IMAG_TOL and y >= 0.0:
                 # Squaring introduces sign-flipped impostors; keep only
                 # roots where both sides genuinely meet.
-                if abs(f1(y) - f2(y)) <= _RESIDUAL_TOL:
+                if abs(f1(y) - f2(y)) <= residual_tol(y):
                     cands.append(y)
     # Roots of each side alone catch boundaries the squared equation
     # degenerates on (both sides vanishing identically).

@@ -6,6 +6,10 @@ events, and over both together, the one-sweep intersection must return
 the set that folding the oracle solutions through the scalar
 interval_intersect returns.
 """
+import math
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -20,7 +24,10 @@ from cluster_sieve.simulation import SimConfig, run_replicate
 from cluster_sieve.truncation import (
     _clean_radical,
     _known_rows,
+    _never_positive,
+    _radical_met,
     _radical_rows,
+    _selection_batch,
     _selection_rows,
     _solve_quad,
     _solve_radical,
@@ -139,12 +146,185 @@ class TestRadicalRows:
             # which may differ from y * y in the last bit
             assert_same_set(g, want, rel=4 * np.finfo(float).eps)
 
+    def test_root_at_large_scale_is_kept(self):
+        # g(y) = -3e6*y + 1e-3*y*sqrt(y^2 + 1) - 1 crosses 0 near y = 3e9,
+        # where its terms reach 1e16 and the root's residual is 2: an
+        # absolute residual tolerance of 1 lost the root and gave [0, inf)
+        lam = np.array([[0.0, -3e6, 1e-3, 0.0, -1.0]])
+        g = SqrtCoeffs(*lam[0], r_star=1.0)
+        got = per_row(*_solve_radical(lam, 1.0))[0]
+        assert_same_set(got, solve_sqrt_leq(g), rel=4 * np.finfo(float).eps)
+        (iv,) = got.intervals
+        assert iv.lo == 0.0 and iv.hi == pytest.approx(9e18, rel=1e-6)
+        assert g.value(0.0) < 0.0 and g.value(0.5 * iv.hi) < 0.0
+        assert g.value(iv.hi * (1 - 1e-9)) < 0.0 < g.value(iv.hi * (1 + 1e-9))
+        assert g.value(2.0 * iv.hi) > 0.0
+
     def test_constant_and_linear_rows(self):
         lam = np.array([[0, 0, 0, 0, -1.0], [0, 0, 0, 0, 1.0], [1.0, 0, 0, 0, -4.0]])
         got = per_row(*_solve_radical(lam, 1.0))
         assert got[0] == IntervalUnion.full() and got[1].is_empty
         assert got[2].intervals[0].lo == 0.0
         assert got[2].intervals[0].hi == pytest.approx(4.0, abs=1e-9)
+
+
+# Rounding-edge magnitudes: the smallest subnormal, the smallest normal,
+# a tiny normal, and one ulp of 1.
+TINY = st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300, np.finfo(float).eps])
+
+
+def _nudge(x, ulps):
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return float(x)
+
+
+def _edge_quadratic(draw, ulps):
+    """(a, b, c) with a, c < 0 and b within `ulps` ulps of sqrt(4ac), or
+    with c = -tiny, or a = +-tiny."""
+    a = -draw(st.floats(1e-3, 1e3))
+    c = -draw(st.floats(1e-3, 1e3))
+    b = _nudge(math.sqrt(4.0 * a * c), draw(st.integers(-ulps, ulps)))
+    kind = draw(st.integers(0, 2))
+    if kind == 1:
+        c = -draw(TINY)
+    elif kind == 2:
+        a = draw(st.sampled_from([-1.0, 1.0])) * draw(TINY)
+    return a, b, c
+
+
+@st.composite
+def edge_quad_row(draw):
+    """(a, b, c, strict) on the screen's edges: b^2 = 4ac within two
+    ulps of b, c = -tiny, or a = +-tiny."""
+    return *_edge_quadratic(draw, 2), draw(st.booleans())
+
+
+@st.composite
+def edge_radical_row(draw):
+    """A radical row whose larger bounding quadratic is one of the edge
+    quadratics, b nudged by up to 64 ulps to straddle the screen's
+    rounding margin, with r* drawn so that its square root is mostly
+    inexact."""
+    rs = draw(st.sampled_from([2.0, 3.0, 0.1, 1.0 / 3.0, 7.5]))
+    srs = math.sqrt(rs)
+    a, b, c = _edge_quadratic(draw, 64)
+    scale = st.sampled_from([0.0, 1e-3, 0.5, 1.0])
+    l3, l4 = draw(scale) * abs(a), draw(scale) * abs(b)
+    if draw(st.booleans()):
+        # s = y + sqrt(r*) is the larger end: (l1+l3, l2+l4+l3*sqrt(r*),
+        # l5+l4*sqrt(r*)) is near (a, b, c)
+        row = [a - l3, b - l4 - l3 * srs, l3, l4, c - l4 * srs]
+    else:
+        # s = y is the larger end: (l1+l3, l2+l4, l5) is near (a, b, c)
+        row = [a + l3, b + l4, -l3, -l4, c]
+    return np.array([row]), rs
+
+
+def exact_never_positive(a, b, c):
+    return c < 0 and a <= 0 and (b <= 0 or b * b < 4 * a * c)
+
+
+def exact_sqrt(x: float) -> Fraction:
+    with mpmath.workprec(400):
+        man, exp = mpmath.sqrt(mpmath.mpf(x)).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+class TestAlwaysMetScreen:
+    """The screen drops only rows whose solution set is all of psi >= 0."""
+
+    @SETTINGS
+    @given(st.lists(st.one_of(quad_row(), edge_quad_row()), min_size=1, max_size=12))
+    def test_dropped_quadratic_rows_hold_everywhere(self, rows):
+        coef = np.array([r[:3] for r in rows], dtype=float)
+        for (a, b, c, strict), met in zip(rows, _never_positive(*coef.T)):
+            if met:
+                assert exact_never_positive(*map(Fraction, (a, b, c))), (a, b, c)
+                want = solve_quad_leq(QuadCoeffs(a, b, c), strict=strict)
+                assert want == IntervalUnion.full(), (a, b, c, strict)
+
+    @SETTINGS
+    @given(st.one_of(radical_rows(), edge_radical_row()))
+    def test_dropped_radical_rows_hold_everywhere(self, drawn):
+        lam, rs = drawn
+        srs = exact_sqrt(rs)
+        for row, met in zip(lam, _radical_met(lam, rs)):
+            if met:
+                # the exact bounding quadratics in y = sqrt(psi)
+                l1, l2, l3, l4, l5 = map(Fraction, row)
+                assert exact_never_positive(l1 + l3, l2 + l4, l5), row
+                assert exact_never_positive(l1 + l3, l2 + l4 + l3 * srs, l5 + l4 * srs), row
+                want = solve_sqrt_leq(SqrtCoeffs(*row, r_star=rs))
+                assert want == IntervalUnion.full(), (row, rs)
+
+    def test_rounding_edges(self):
+        # b^2 one ulp either side of 4ac, and exactly 4ac (a double root
+        # at t = 1, where the form is 0): only the side below is dropped
+        a, c = -1.0, -0.5
+        b = math.sqrt(2.0)
+        rows = np.array([[a, _nudge(b, -1), c], [a, _nudge(b, 1), c], [-1.0, 2.0, -1.0],
+                         [0.0, 0.0, -5e-324], [5e-324, -1.0, -1.0], [0.0, 5e-324, -1.0],
+                         [-1e308, 1.0, -1.0]])
+        got = _never_positive(*rows.T)
+        want = [exact_never_positive(*map(Fraction, r)) for r in rows]
+        assert want == [True, False, False, True, False, False, True]
+        # 4a overflows on the last row, which is then kept, not dropped
+        assert got.tolist() == want[:-1] + [False]
+        # l1 + l3 = 0 exactly: the form is l2*y + l4*s + l5 + l3*y*(s - y),
+        # bounded, but the screen cannot prove it negative and keeps it
+        keep = np.array([[-1.0, -1.0, 1.0, 0.0, -1.0]])
+        assert not _radical_met(keep, 2.0)[0]
+
+    @pytest.mark.parametrize("rs", [2.0, 3.0, 0.1, 1.0 / 3.0, 7.5])
+    def test_margin_covers_the_rounding_of_the_sums(self, rs):
+        # Rows whose larger bounding quadratic has b from 40 ulps below to
+        # 6 ulps above sqrt(4ac), spread over l1..l5 so that forming the
+        # sums rounds: many are dropped, and each dropped row's exact
+        # quadratics are never positive. Without the margin some are not.
+        rng = np.random.default_rng(5)
+        m, srs = 2000, math.sqrt(rs)
+        a, c = -rng.uniform(1e-3, 1e3, m), -rng.uniform(1e-3, 1e3, m)
+        b = np.sqrt(4.0 * a * c) * (1.0 + rng.integers(-40, 7, m) * np.finfo(float).eps)
+        l3 = rng.choice([0.0, 1e-3, 0.5, 1.0, 3.0], m) * -a
+        l4 = rng.choice([0.0, 1e-3, 0.5, 1.0, 3.0], m) * b
+        lam = np.where(
+            (rng.random(m) < 0.5)[:, None],
+            np.column_stack([a - l3, b - l4 - l3 * srs, l3, l4, c - l4 * srs]),
+            np.column_stack([a + l3, b + l4, -l3, -l4, c]),
+        )
+        met = _radical_met(lam, rs)
+        assert met.sum() > m / 4
+        srs = exact_sqrt(rs)
+        for row in lam[met]:
+            l1, l2, l3, l4, l5 = map(Fraction, row)
+            assert exact_never_positive(l1 + l3, l2 + l4, l5), row
+            assert exact_never_positive(l1 + l3, l2 + l4 + l3 * srs, l5 + l4 * srs), row
+
+    def test_benchmark_shaped_instance(self):
+        # n=400, q=10, K=8 in shifted groups, top-3 selected and accounted
+        # for, unknown sigma, 6 Lloyd steps: the screened sweep gives the
+        # set of the unscreened oracle fold, and most rows are dropped
+        n, q, K = 400, 10, 8
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((n, q))
+        x[np.arange(n), (np.arange(n) % K) % q] += 2.0
+        X = DataMatrix(x)
+        init = tuple(int(i) for i in rng.choice(n, K, replace=False))
+        trace = run_kmeans(X, KMeansConfig(K=K, init_indices=init, max_iter=5))
+        assert trace.J + 1 == 6
+        part = trace.final_partition()
+        V = select_pairs(X, part, SelectionRule.top_g(3))
+        path = unknown_path(X, part, build_projection(part, V, q))
+        rs = path.r_star
+        batches = [_unknown_rows(trace, path, j) for j in range(trace.J + 1)]
+        batches.append(_selection_batch(path, part, V)[0])
+        want = fold_intersection(radical_rows_set(lam, rs) for lam in batches)
+        got = truncation_set(path, trace, selection=(part, V))
+        assert_same_set(got, want, rel=1e-12)
+        dropped = sum(int(_radical_met(lam, rs).sum()) for lam in batches)
+        total = sum(len(lam) for lam in batches)
+        assert dropped > total / 2, (dropped, total)
 
 
 def _instance(seed, n, q, K, scale, duplicate):

@@ -31,6 +31,18 @@ def request(
     )
 
 
+def singleton_request(rule, variance):
+    """Clusters 0 and 1 are the far outliers in rows 0 and 1, alone."""
+    x = np.random.default_rng(0).normal(size=(20, 2))
+    x[0], x[1] = [50.0, 0.0], [0.0, 50.0]
+    return inf.TestRequest(
+        data=DataMatrix(x),
+        kmeans_cfg=KMeansConfig(K=3, init_indices=(0, 1, 2)),
+        rule=rule,
+        variance=variance,
+    )
+
+
 class TestSpecs:
     def test_variance_kinds(self):
         with pytest.raises(ValueError):
@@ -196,20 +208,25 @@ class TestReductions:
         pair = inf.test_pairwise_known(request(X, 2), 0, 1)
         assert res.p_value == pair.p_value
 
-    def test_bonferroni_pair_of_singletons_is_na(self):
+    def test_bonferroni_pair_of_singletons_has_a_pvalue(self):
         # two far outliers become singleton clusters: their pair has no
-        # within-cluster spread, which is an NA result, not an exception
-        x = np.random.default_rng(0).normal(size=(20, 2))
-        x[0], x[1] = [50.0, 0.0], [0.0, 50.0]
-        req = inf.TestRequest(
-            data=DataMatrix(x),
-            kmeans_cfg=KMeansConfig(K=3, init_indices=(0, 1, 2)),
-            rule=SelectionRule.fixed_all(3),
-            variance=inf.VarianceSpec.known(1.0),
-        )
+        # within-cluster spread, which the chi test does not need
+        req = singleton_request(SelectionRule.fixed_all(3), inf.VarianceSpec.known(1.0))
         res = inf.test_bonferroni(req)
-        assert res.degenerate and res.method is Method.BONFERRONI
-        assert "singleton" in res.diagnostics["reason"]
+        assert not res.degenerate and res.method is Method.BONFERRONI
+        assert res.diagnostics["pairs_tested"] == [[0, 1], [0, 2], [1, 2]]
+        assert all(math.isfinite(p) for p in res.diagnostics["pairwise_p_values"])
+
+    def test_pair_of_singletons_needs_spread_only_for_the_f_test(self):
+        rule = SelectionRule.fixed([(0, 1)])
+        chi = inf.run_test(singleton_request(rule, inf.VarianceSpec.known(1.0)))
+        assert not chi.degenerate and math.isfinite(chi.p_value)
+        assert interval_contains(chi.truncation, chi.statistic)
+        f = inf.run_test(singleton_request(rule, inf.VarianceSpec.unknown()))
+        assert f.degenerate
+        assert f.diagnostics["reason"] == (
+            "every cluster under test is a singleton; no within-cluster spread is available"
+        )
 
     def test_bonferroni_rejects_data_dependent_rules(self):
         X = gauss_data(0, 16, 2)

@@ -6,6 +6,7 @@ from cluster_sieve.core import DataMatrix, DegenerateClustering
 from cluster_sieve.kmeans import (
     KMeansConfig,
     KMeansTrace,
+    cluster_sums,
     replay_matches,
     run_kmeans,
     step_centroids,
@@ -81,6 +82,19 @@ class TestCentroids:
         for l in range(2):
             mask = trace.assignments[0] == l
             np.testing.assert_allclose(got[l], X.values[mask].mean(axis=0))
+
+    @pytest.mark.parametrize("n, q, K", [(3000, 10, 5), (400, 10, 8), (60, 2, 3)])
+    def test_cluster_sums_equal_add_at_exactly(self, n, q, K):
+        rng = np.random.default_rng(n + q + K)
+        values = rng.standard_normal((n, q)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+        labels = rng.integers(0, K, size=n)
+        want = np.zeros((K, q))
+        np.add.at(want, labels, values)
+        np.testing.assert_array_equal(cluster_sums(values, labels, K), want)
+        # labels that no row carries sum to zero
+        one = cluster_sums(values[:1], labels[:1], K)
+        np.testing.assert_array_equal(one[labels[0]], values[0])
+        assert np.count_nonzero(one) == np.count_nonzero(values[0])
 
     def test_step0_centroids_are_init_rows(self):
         X = two_blobs(seed=2)

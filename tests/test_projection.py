@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from cluster_sieve.core import ClusterPartition, DegenerateWithin
+from cluster_sieve.core import ClusterPartition, DataMatrix, DegenerateWithin
 from cluster_sieve.projection import (
     PairSet,
     apply_PE,
     build_projection,
     contrast_vector,
 )
+from cluster_sieve.truncation import unknown_path
 
 
 def part_of(labels, K):
@@ -95,9 +96,14 @@ class TestBuildProjection:
         np.testing.assert_allclose(gram, np.eye(b.r), atol=1e-12)
 
     def test_all_singletons_raise_degenerate_within(self):
+        # d* = 0 leaves the chi test defined; only the F test's path,
+        # which needs within-cluster spread, raises
         part = part_of([0, 1, 2], 3)
+        b = build_projection(part, PairSet(((0, 1),), 3), q=2)
+        assert (b.d, b.d_star, b.r_star) == (2, 0, 0.0)
+        X = DataMatrix(np.arange(6.0).reshape(3, 2))
         with pytest.raises(DegenerateWithin):
-            build_projection(part, PairSet(((0, 1),), 3), q=2)
+            unknown_path(X, part, b)
 
     def test_K_mismatch_rejected(self):
         part = part_of([0, 0, 1, 1], 2)
