@@ -142,75 +142,114 @@ class Interval:
             object.__setattr__(self, "hi_closed", False)
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
-    """A finite union of disjoint intervals on [0, inf), kept sorted.
+_TYPES = (("lo", float), ("hi", float), ("lo_closed", bool), ("hi_closed", bool))
+_FIELDS = tuple(f for f, _ in _TYPES)
 
-    Construction canonicalizes: intervals are sorted by lower endpoint
-    and any pair closer than MERGE_TOL is merged.
+
+@dataclass(frozen=True, eq=False, repr=False)
+class IntervalUnion:
+    """A finite union of disjoint intervals on [0, inf), held as four
+    aligned read-only arrays sorted by lo.
+
+    Construction canonicalizes through merge_pieces, the one merge rule
+    of the package.
     """
 
-    intervals: tuple[Interval, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_closed: np.ndarray
+    hi_closed: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals", _canonicalize(self.intervals))
+        # copies, so that no caller's array is frozen below
+        lo, hi, lc, hc = (np.array(getattr(self, f), dtype=t) for f, t in _TYPES)
+        if not ((lo >= 0.0).all() and (lo <= hi).all()):
+            raise ValueError("interval endpoints must satisfy 0 <= lo <= hi")
+        for name, arr in zip(_FIELDS, merge_pieces(lo, hi, lc, hc)[1:]):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_intervals(cls, intervals: Sequence[Interval]) -> "IntervalUnion":
+        return cls(*([getattr(iv, f) for iv in intervals] for f in _FIELDS))
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
-        return cls(())
+        return cls((), (), (), ())
 
     @classmethod
     def full(cls) -> "IntervalUnion":
-        return cls((Interval(0.0, INF),))
+        return cls((0.0,), (INF,), (True,), (False,))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "IntervalUnion":
         """Build from (lo, hi) pairs, clipping at 0 and dropping empty pieces."""
-        kept = []
-        for lo, hi in pairs:
-            lo = max(float(lo), 0.0)
-            hi = float(hi)
-            if hi >= lo:
-                kept.append(Interval(lo, hi))
-        return cls(tuple(kept))
+        lo, hi = np.array(list(pairs), dtype=float).reshape(-1, 2).T
+        lo = np.maximum(lo, 0.0)
+        keep = hi >= lo
+        closed = np.ones(int(keep.sum()), dtype=bool)
+        return cls(lo[keep], hi[keep], closed, closed)
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, *(getattr(self, f).tolist() for f in _FIELDS)))
 
     @property
     def is_empty(self) -> bool:
-        return len(self.intervals) == 0
+        return self.lo.size == 0
 
     def measure(self) -> float:
         """Total Lebesgue length (inf if any piece is unbounded)."""
-        return sum(iv.hi - iv.lo for iv in self.intervals)
+        return float((self.hi - self.lo).sum())
 
     def __iter__(self):
         return iter(self.intervals)
 
-
-def _canonicalize(intervals: Sequence[Interval]) -> tuple[Interval, ...]:
-    if not intervals:
-        return ()
-    ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-    merged = [ivs[0]]
-    for iv in ivs[1:]:
-        last = merged[-1]
-        # Exact contact with both sides open leaves a removed point, as
-        # the strict solvers produce around roots; never merge across it.
-        point_gap = (
-            iv.lo == last.hi and not last.hi_closed and not iv.lo_closed
+    def __eq__(self, other):
+        return isinstance(other, IntervalUnion) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in _FIELDS
         )
-        if iv.lo <= last.hi + MERGE_TOL and not point_gap:
-            # Overlap or near-contact: merge, keeping the outer closedness.
-            if iv.hi > last.hi:
-                hi, hic = iv.hi, iv.hi_closed
-            elif iv.hi == last.hi:
-                hi, hic = last.hi, last.hi_closed or iv.hi_closed
-            else:
-                hi, hic = last.hi, last.hi_closed
-            loc = last.lo_closed or (iv.lo == last.lo and iv.lo_closed)
-            merged[-1] = Interval(last.lo, hi, loc, hic)
-        else:
-            merged.append(iv)
-    return tuple(merged)
+
+    def __repr__(self):
+        return f"IntervalUnion(intervals={self.intervals!r})"
+
+
+def merge_pieces(lo, hi, lo_closed, hi_closed, group=None):
+    """The one merge rule: the canonical form of interval pieces within
+    each group (one group by default), as arrays (group, lo, hi,
+    lo_closed, hi_closed). Pieces are sorted by (group, lo, closed starts
+    first, hi), each upper end is raised to the running maximum of its
+    group's (closed above open at a tie), and a piece joins the one
+    before when it starts within MERGE_TOL of that maximum, unless both
+    are open at one shared point: strict inequalities leave that point
+    removed around a root. An unbounded piece is open at infinity.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lc = np.asarray(lo_closed, dtype=bool)
+    hc = np.asarray(hi_closed, dtype=bool) & (hi < INF)
+    g = np.zeros(lo.size, dtype=int) if group is None else np.asarray(group)
+    if lo.size < 2:
+        return g, lo, hi, lc, hc
+    same = g[1:] == g[:-1]
+    # Solver and sweep output has both ends strictly ascending within a
+    # group, which makes the sort and the running maximum identities.
+    if not ((g[1:] > g[:-1]) | (same & (lo[1:] > lo[:-1]) & (hi[1:] > hi[:-1]))).all():
+        order = np.lexsort((hi, ~lc, lo, g))
+        g, lo, hi, lc, hc = (a[order] for a in (g, lo, hi, lc, hc))
+        same = g[1:] == g[:-1]
+        # The running maximum by doubling: after the pass at k each upper
+        # end is the largest of the 2k in its group up to it.
+        k = 1
+        while k < lo.size:
+            h0, h1 = hi[:-k], hi[k:]
+            up = (g[k:] == g[:-k]) & ((h0 > h1) | ((h0 == h1) & hc[:-k]))
+            hi = np.concatenate([hi[:k], np.where(up, h0, h1)])
+            hc = np.concatenate([hc[:k], np.where(up, hc[:-k], hc[k:])])
+            k *= 2
+    apart = (lo[1:] > hi[:-1] + MERGE_TOL) | ((lo[1:] == hi[:-1]) & ~(hc[:-1] | lc[1:]))
+    new = np.concatenate(([True], ~same | apart))
+    first, last = np.flatnonzero(new), np.flatnonzero(np.concatenate((new[1:], [True])))
+    return g[first], lo[first], hi[last], lc[first], hc[last]
 
 
 def interval_contains(a: IntervalUnion, x: float, tol: float = 0.0) -> bool:
@@ -222,12 +261,10 @@ def interval_contains(a: IntervalUnion, x: float, tol: float = 0.0) -> bool:
     """
     if x < 0:
         raise ValueError("membership is defined on [0, inf) only")
-    for iv in a.intervals:
-        lo_ok = x > iv.lo - tol if not iv.lo_closed and tol == 0.0 else x >= iv.lo - tol
-        hi_ok = x < iv.hi + tol if not iv.hi_closed and tol == 0.0 else x <= iv.hi + tol
-        if lo_ok and hi_ok:
-            return True
-    return False
+    if tol != 0.0:
+        return bool(((x >= a.lo - tol) & (x <= a.hi + tol)).any())
+    lo_ok = np.where(a.lo_closed, x >= a.lo, x > a.lo)
+    return bool((lo_ok & np.where(a.hi_closed, x <= a.hi, x < a.hi)).any())
 
 
 class Method(Enum):

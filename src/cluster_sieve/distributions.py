@@ -3,9 +3,9 @@ versions, and the F-to-chi-squared fallback approximation.
 
 Truncated p-values are ratios of tail masses that can both underflow
 double precision, so the default evaluation path works per interval in
-log space with a stable log-diff-exp. The F family additionally falls
-back to a moment-matched chi-squared approximation when even the
-log-space masses lose all significant digits.
+log space with a stable log-diff-exp. The F family falls back to a
+moment-matched chi-squared approximation only when even the log-space
+masses lose all significant digits.
 """
 from __future__ import annotations
 
@@ -16,15 +16,12 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .core import INF, Interval, IntervalUnion, ZeroMassSet
+from .core import INF, IntervalUnion, ZeroMassSet
 
 _EPS = np.finfo(float).eps
 # A log-mass difference below this multiple of the rounding noise in the
 # log survival values cannot be distinguished from cancellation error.
 _SIG_GUARD = 32.0
-# Below this total set mass the exact F path is abandoned for the
-# approximation path.
-_LOG_MASS_FLOOR = -700.0
 _TINY = 1e-280
 _MAX_CF_ITER = 500
 
@@ -243,45 +240,44 @@ def _log_mass_of(
     log_sf: Callable[[float], float], region: IntervalUnion
 ) -> tuple[float, bool]:
     """Total log mass of an interval union; significant if any piece is."""
-    masses = []
-    any_sig = False
-    for iv in region.intervals:
-        lm, sig = _interval_log_mass(log_sf, iv.lo, iv.hi)
-        masses.append(lm)
-        any_sig = any_sig or (sig and lm > -INF)
-    if not masses:
+    ends = zip(region.lo.tolist(), region.hi.tolist())
+    pieces = [_interval_log_mass(log_sf, lo, hi) for lo, hi in ends]
+    lm = np.array([m for m, _ in pieces])
+    top = lm.max(initial=-INF)
+    if top == -INF:
         return -INF, False
-    total = float(special.logsumexp(masses))
-    return total, any_sig
+    # log-sum-exp with the largest terms factored out, as scipy's
+    # logsumexp sums them, so the result is the same to the last bit
+    at_top = lm == top
+    rest = np.where(at_top, 0.0, np.exp(lm - top)).sum() / at_top.sum()
+    total = float(np.log1p(rest) + np.log(at_top.sum()) + top)
+    return total, any(sig and m > -INF for m, sig in pieces)
 
 
 def _upper_region(support: IntervalUnion, t: float) -> IntervalUnion:
     """The part of support at or above t: every piece is clipped at t
     from below, and a piece clipped to a point keeps that point."""
-    t = max(t, 0.0)
-    out = []
-    for iv in support.intervals:
-        lo = max(iv.lo, t)
-        lo_closed = iv.lo_closed or lo > iv.lo
-        if lo < iv.hi or (lo == iv.hi and lo_closed):
-            out.append(Interval(lo, iv.hi, lo_closed, iv.hi_closed))
-    return IntervalUnion(tuple(out))
+    lo = np.maximum(support.lo, max(t, 0.0))
+    lo_closed = support.lo_closed | (lo > support.lo)
+    keep = (lo < support.hi) | ((lo == support.hi) & lo_closed)
+    return IntervalUnion(lo[keep], support.hi[keep], lo_closed[keep], support.hi_closed[keep])
 
 
 def truncated_survival_info(t: float, spec: TruncatedDistSpec) -> tuple[float, dict]:
     """P(T >= t | T in S) for T following the reference law, with
     diagnostics about the evaluation path.
 
-    Works per interval in log space. The F family switches to the
-    chi-squared approximation when the exact set mass underflows below
-    e^-700 or loses all significant digits; the chi family has no
-    fallback and raises ZeroMassSet instead.
+    Works per interval in log space, where set masses far below the
+    double range stay exact. The F family switches to the chi-squared
+    approximation only when the exact set mass is zero or has no
+    significant digits; the chi family has no fallback and raises
+    ZeroMassSet instead.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     info: dict = {"eval_path": "log_exact"}
     den, den_sig = _log_mass_of(spec.log_sf, spec.support)
-    if spec.kind == "f" and (den == -INF or not den_sig or den < _LOG_MASS_FLOOR):
+    if spec.kind == "f" and (den == -INF or not den_sig):
         p, sub = _f_to_chisq_core(t, spec.d1, spec.d2, spec.support)
         info.update(sub)
         info["eval_path"] = "chisq_approx"
@@ -314,13 +310,12 @@ def truncated_survival(t: float, spec: TruncatedDistSpec) -> float:
     return p
 
 
-def _f_to_chisq_value(u: float, d1: int, d2: int) -> float:
-    """Monotone map of an F_{d1,d2} value to a chi^2_{d1} value matching
-    lower-tail probabilities approximately."""
-    if u == INF:
-        return INF
-    lam = (2.0 * d2 + d1 * u / 3.0 + d1 - 2.0) / (2.0 * d2 + 4.0 * d1 * u / 3.0)
-    return lam * d1 * u
+def _f_to_chisq_value(u, d1: int, d2: int):
+    """Monotone map of F_{d1,d2} values (a float or an array) to
+    chi^2_{d1} values matching lower-tail probabilities approximately."""
+    with np.errstate(invalid="ignore"):
+        lam = (2.0 * d2 + d1 * u / 3.0 + d1 - 2.0) / (2.0 * d2 + 4.0 * d1 * u / 3.0)
+    return np.where(u == INF, INF, lam * d1 * u)
 
 
 def _f_to_chisq_core(
@@ -328,17 +323,8 @@ def _f_to_chisq_core(
 ) -> tuple[float, dict]:
     # Map the statistic and every interval endpoint; the map is strictly
     # increasing, so interval structure is preserved.
-    mapped = IntervalUnion(
-        tuple(
-            Interval(
-                _f_to_chisq_value(iv.lo, d1, d2),
-                _f_to_chisq_value(iv.hi, d1, d2),
-                iv.lo_closed,
-                iv.hi_closed,
-            )
-            for iv in support.intervals
-        )
-    )
+    lo, hi = (_f_to_chisq_value(u, d1, d2) for u in (support.lo, support.hi))
+    mapped = IntervalUnion(lo, hi, support.lo_closed, support.hi_closed)
     log_sf = lambda x: log_chisq_survival(x, d1)
     den, den_sig = _log_mass_of(log_sf, mapped)
     if den == -INF or not den_sig:
@@ -346,7 +332,7 @@ def _f_to_chisq_core(
             "the truncation set carries no numerically detectable mass, "
             "even through the chi-squared approximation"
         )
-    mt = _f_to_chisq_value(t, d1, d2)
+    mt = float(_f_to_chisq_value(t, d1, d2))
     num, _ = _log_mass_of(log_sf, _upper_region(mapped, mt))
     if num == -INF:
         return 0.0, {"numerator_underflow": True}

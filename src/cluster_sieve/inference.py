@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .core import DataMatrix, Method, NotAvailable, PValueResult
+from .core import DataMatrix, Method, NotAvailable, PValueResult, interval_contains
 from .distributions import TruncatedDistSpec, truncated_survival_info
 from .kmeans import KMeansConfig, KMeansTrace, run_kmeans
 from .projection import PairSet, ProjectionBundle, build_projection
@@ -143,13 +143,16 @@ def _test(
     bundle, its truncation set S (the clustering history and, with
     account_selection, the selection V), and the tail of the reference
     law truncated to S at the observed statistic. The law is chi with
-    the given sigma, or F with sigma None."""
+    the given sigma, or F with sigma None. A statistic outside S, beyond
+    the relative rounding allowance of its endpoints, voids the test."""
     part = trace.final_partition()
     if sigma is None:
         path, law, df_den = unknown_path(req.data, part, bundle), "f", bundle.d_star
     else:
         path, law, df_den = known_path(req.data, bundle, sigma), "chi", None
     S = truncation_set(path, trace, (part, V) if req.account_selection else None)
+    if not interval_contains(S, path.psi_obs, tol=1e-9 * max(1.0, path.psi_obs)):
+        raise NotAvailable("statistic_outside_set")
     spec = TruncatedDistSpec(law, bundle.d, df_den, S)
     p, info = truncated_survival_info(path.psi_obs, spec)
     return PValueResult(

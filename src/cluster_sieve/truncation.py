@@ -29,13 +29,12 @@ import numpy as np
 
 from .core import (
     INF,
-    MERGE_TOL,
     ClusterPartition,
     DataMatrix,
     DegenerateWithin,
-    Interval,
     IntervalUnion,
     NotAvailable,
+    merge_pieces,
 )
 from .kmeans import KMeansTrace, step_centroids
 from .projection import PairSet, ProjectionBundle, apply_P1, apply_PE
@@ -77,7 +76,7 @@ _GRAM_ULPS = 4.0
 class _Pieces(NamedTuple):
     """Intervals of many constraints at once: piece k belongs to the
     solution set of constraint row[k]. Pieces are grouped by row and,
-    within a row, disjoint and ascending."""
+    within a row, merged by core.merge_pieces: disjoint and ascending."""
 
     row: np.ndarray
     lo: np.ndarray
@@ -85,40 +84,20 @@ class _Pieces(NamedTuple):
     lo_closed: np.ndarray
     hi_closed: np.ndarray
 
-    def take(self, idx) -> "_Pieces":
-        return _Pieces(*(f[idx] for f in self))
-
-
-_HALF_LINE = _Pieces(np.zeros(1, dtype=int), np.zeros(1), np.full(1, INF),
-                     np.ones(1, dtype=bool), np.zeros(1, dtype=bool))
-
 
 def _clip(lo, hi, lo_closed, hi_closed):
     """Clip candidate intervals to [0, inf). A negative lower end moves
     to 0, where it is attained whatever its strictness (0 is then
-    interior to the unclipped solution). Also returns whether each
-    clipped interval is non-empty."""
+    interior to the unclipped solution). Returns the new lower ends and
+    their closedness, and whether each clipped interval is non-empty."""
     neg = lo < 0.0
     lo = np.where(neg, 0.0, lo)
     lo_closed = lo_closed | neg
     ok = (hi > lo) | ((hi == lo) & lo_closed & hi_closed)
-    return lo, hi, lo_closed, hi_closed & (hi < INF), ok
+    return lo, lo_closed, ok
 
 
-def _merge_touching(p: _Pieces) -> _Pieces:
-    """Merge the pieces of one row that overlap or lie within MERGE_TOL
-    of each other, as IntervalUnion does, keeping the outer closedness.
-    Two pieces both open at the same point keep that point removed."""
-    if p.lo.size < 2:
-        return p
-    removed_point = (p.lo[1:] == p.hi[:-1]) & ~p.hi_closed[:-1] & ~p.lo_closed[1:]
-    join = (p.row[1:] == p.row[:-1]) & (p.lo[1:] <= p.hi[:-1] + MERGE_TOL) & ~removed_point
-    first = np.flatnonzero(np.r_[True, ~join])
-    last = np.r_[first[1:] - 1, p.lo.size - 1]
-    return _Pieces(p.row[first], p.lo[first], p.hi[last], p.lo_closed[first], p.hi_closed[last])
-
-
-def _intersect(S: _Pieces, p: _Pieces, m: int) -> _Pieces:
+def _intersect(S: IntervalUnion, p: _Pieces, m: int) -> IntervalUnion:
     """S intersected with the solution sets of m constraints, given as
     the pieces p of rows 0..m-1.
 
@@ -129,12 +108,12 @@ def _intersect(S: _Pieces, p: _Pieces, m: int) -> _Pieces:
     leaves out stays out, and a point that closed pieces share stays in.
     """
     if np.any(np.bincount(p.row, minlength=m) == 0):
-        return _HALF_LINE.take(slice(0, 0))
+        return IntervalUnion.empty()
     full = (p.lo == 0.0) & p.lo_closed & (p.hi == INF)
     need = m - int(np.count_nonzero(full)) + 1
     if need == 1:
         return S
-    p = p.take(~full)
+    p = _Pieces(*(f[~full] for f in p))
     lo = np.concatenate([S.lo, p.lo])
     x = np.concatenate([lo, S.hi, p.hi])
     kind = np.concatenate([
@@ -144,13 +123,7 @@ def _intersect(S: _Pieces, p: _Pieces, m: int) -> _Pieces:
     order = np.lexsort((kind, x))
     x, kind = x[order], kind[order]
     k = np.flatnonzero(np.cumsum(np.repeat([1, -1], lo.size)[order]) == need)
-    return _merge_touching(
-        _Pieces(np.zeros(k.size, dtype=int), x[k], x[k + 1], kind[k] == 1, kind[k + 1] == 2)
-    )
-
-
-def _to_union(S: _Pieces) -> IntervalUnion:
-    return IntervalUnion(tuple(map(Interval, *(f.tolist() for f in S[1:]))))
+    return IntervalUnion(x[k], x[k + 1], kind[k] == 1, kind[k + 1] == 2)
 
 
 def _solve_quad(coef: np.ndarray, strict: np.ndarray | None = None):
@@ -193,15 +166,13 @@ def _solve_quad(coef: np.ndarray, strict: np.ndarray | None = None):
     lc1 = ~((fall | cup) & strict)
     hc1 = point | ((rise | cup | cap) & closed)
     on1 = np.select([const, pit], [(c < 0.0) | ((c == 0.0) & closed), point], True)
-    lo, hi, lc, hc, ok = _clip(
-        np.column_stack([lo1, np.where(notch, vertex, rhi)]),
-        np.column_stack([hi1, np.full(a.size, INF)]),
-        np.column_stack([lc1, closed & ~notch]),
-        np.column_stack([hc1, np.zeros(a.size, dtype=bool)]),
-    )
+    hi = np.column_stack([hi1, np.full(a.size, INF)])
+    hc = np.column_stack([hc1, np.zeros(a.size, dtype=bool)])
+    lo = np.column_stack([lo1, np.where(notch, vertex, rhi)])
+    lo, lc, ok = _clip(lo, hi, np.column_stack([lc1, closed & ~notch]), hc)
     ok &= np.column_stack([on1, notch | cap])
     rows = np.broadcast_to(np.arange(a.size)[:, None], ok.shape)
-    return _merge_touching(_Pieces(rows[ok], lo[ok], hi[ok], lc[ok], hc[ok])), a.size
+    return _Pieces(*merge_pieces(lo[ok], hi[ok], lc[ok], hc[ok], rows[ok])), a.size
 
 
 def _poly_roots(P: np.ndarray) -> np.ndarray:
@@ -287,11 +258,9 @@ def _solve_radical(lam: np.ndarray, rs: float):
         g = l1 * probe * probe + l2 * probe + l3 * probe * rt + l4 * rt + l5
         inside = (t < count) & (g <= 0.0)
         hi = np.where(bounded, nxt * nxt, INF)
-    rows = np.broadcast_to(np.arange(m)[:, None], ys.shape)
-    lo = ys * ys
-    closed = np.ones(lo.shape, dtype=bool)
-    pieces = _Pieces(rows[inside], lo[inside], hi[inside], closed[inside], (hi < INF)[inside])
-    return _merge_touching(pieces), m
+    rows = np.broadcast_to(np.arange(m)[:, None], ys.shape)[inside]
+    closed = np.ones(rows.size, dtype=bool)
+    return _Pieces(*merge_pieces((ys * ys)[inside], hi[inside], closed, closed, rows)), m
 
 
 def _never_positive(a, b, c) -> np.ndarray:
@@ -425,15 +394,15 @@ def _intersect_batches(batches, solve, met) -> IntervalUnion:
     running set, stopping once it is empty. Rows that met(first array)
     proves satisfied on all of psi >= 0 cannot bind the set and are
     never solved."""
-    S = _HALF_LINE
+    S = IntervalUnion.full()
     for rows in batches:
         live = ~met(rows[0])
         if not live.any():
             continue
         S = _intersect(S, *solve(*(r[live] for r in rows)))
-        if S.lo.size == 0:
+        if S.is_empty:
             break
-    return _to_union(S)
+    return S
 
 
 def _cross_gram(U: np.ndarray, W: np.ndarray, Ubar: np.ndarray, Wbar: np.ndarray):

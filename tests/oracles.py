@@ -6,7 +6,8 @@ cluster_sieve.truncation: the same stable-root quadratic formula, and
 the same quartic candidate set and midpoint sign scan for the radical
 form. `interval_intersect` is the scalar two-list sweep, and
 `fold_intersection` intersects their solutions pairwise with it: the
-reference for the batched sweep.
+reference for the batched sweep. `canonicalize` merges one interval at
+a time: the reference for core.merge_pieces.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cluster_sieve.core import INF, Interval, IntervalUnion
+from cluster_sieve.core import INF, MERGE_TOL, Interval, IntervalUnion
 from cluster_sieve.truncation import _IMAG_TOL, _RESIDUAL_TOL, _RESIDUAL_ULPS, _ROOT_COLLAPSE
 
 
@@ -87,25 +88,25 @@ def solve_quad_leq(c: QuadCoeffs, strict: bool = False) -> IntervalUnion:
         root = -cc / b
         if b > 0.0:
             iv = _interval(0.0, root, True, closed)
-            return IntervalUnion((iv,) if iv else ())
+            return IntervalUnion.from_intervals((iv,) if iv else ())
         iv = _interval(root, INF, closed, False)
-        return IntervalUnion((iv,))
+        return IntervalUnion.from_intervals((iv,))
     disc = b * b - 4.0 * a * cc
     if disc <= 0.0:
         if a > 0.0:
             if disc == 0.0 and closed:
                 root = -b / (2.0 * a)
                 if root >= 0.0:
-                    return IntervalUnion((Interval(root, root),))
+                    return IntervalUnion.from_intervals((Interval(root, root),))
             return IntervalUnion.empty()
         if disc == 0.0 and strict:
             root = -b / (2.0 * a)
             if root > 0.0:
-                return IntervalUnion(
+                return IntervalUnion.from_intervals(
                     (Interval(0.0, root, True, False), Interval(root, INF, False, False))
                 )
             if root == 0.0:
-                return IntervalUnion((Interval(0.0, INF, False, False),))
+                return IntervalUnion.from_intervals((Interval(0.0, INF, False, False),))
         return IntervalUnion.full()
     # Two real roots; the classical formula cancels when b^2 >> 4ac, so
     # derive one root from the stable intermediate q and the other from
@@ -117,7 +118,7 @@ def solve_quad_leq(c: QuadCoeffs, strict: bool = False) -> IntervalUnion:
     lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
     if a > 0.0:
         iv = _interval(lo, hi, closed, closed)
-        return IntervalUnion((iv,) if iv else ())
+        return IntervalUnion.from_intervals((iv,) if iv else ())
     pieces = []
     left = _interval(0.0, lo, True, closed)
     if left:
@@ -125,7 +126,7 @@ def solve_quad_leq(c: QuadCoeffs, strict: bool = False) -> IntervalUnion:
     right = _interval(hi, INF, closed, False)
     if right:
         pieces.append(right)
-    return IntervalUnion(tuple(pieces))
+    return IntervalUnion.from_intervals(tuple(pieces))
 
 
 def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
@@ -206,7 +207,38 @@ def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
             pieces.append(Interval(lo * lo, hi * hi))
     if g_of_y(dedup[-1] + 1.0) <= 0.0:
         pieces.append(Interval(dedup[-1] ** 2, INF))
-    return IntervalUnion(tuple(pieces))
+    return IntervalUnion.from_intervals(tuple(pieces))
+
+
+def canonicalize(intervals) -> tuple[Interval, ...]:
+    """The merge rule of IntervalUnion, one interval at a time: sorted by
+    lower end with closed starts first, each interval joins the last
+    merged one when it starts within MERGE_TOL of its upper end, unless
+    both are open at one shared point."""
+    if not intervals:
+        return ()
+    ivs = sorted(intervals, key=lambda iv: (iv.lo, not iv.lo_closed, iv.hi))
+    merged = [ivs[0]]
+    for iv in ivs[1:]:
+        last = merged[-1]
+        # Exact contact with both sides open leaves a removed point, as
+        # the strict solvers produce around roots; never merge across it.
+        point_gap = (
+            iv.lo == last.hi and not last.hi_closed and not iv.lo_closed
+        )
+        if iv.lo <= last.hi + MERGE_TOL and not point_gap:
+            # Overlap or near-contact: merge, keeping the outer closedness.
+            if iv.hi > last.hi:
+                hi, hic = iv.hi, iv.hi_closed
+            elif iv.hi == last.hi:
+                hi, hic = last.hi, last.hi_closed or iv.hi_closed
+            else:
+                hi, hic = last.hi, last.hi_closed
+            loc = last.lo_closed or (iv.lo == last.lo and iv.lo_closed)
+            merged[-1] = Interval(last.lo, hi, loc, hic)
+        else:
+            merged.append(iv)
+    return tuple(merged)
 
 
 def interval_intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
@@ -229,7 +261,7 @@ def interval_intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
             ai += 1
         else:
             bi += 1
-    return IntervalUnion(tuple(out))
+    return IntervalUnion.from_intervals(tuple(out))
 
 
 def _closed_at(iv: Interval, point: float) -> bool:

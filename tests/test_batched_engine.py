@@ -63,7 +63,7 @@ def per_row(pieces, m):
     rows = [[] for _ in range(m)]
     for r, lo, hi, lc, hc in zip(*(f.tolist() for f in pieces)):
         rows[r].append(Interval(lo, hi, lc, hc))
-    return [IntervalUnion(tuple(ivs)) for ivs in rows]
+    return [IntervalUnion.from_intervals(tuple(ivs)) for ivs in rows]
 
 
 def assert_same_set(got: IntervalUnion, want: IntervalUnion, rel: float = 0.0):
@@ -124,7 +124,7 @@ class TestQuadRows:
             assert g == solve_quad_leq(QuadCoeffs(*row), strict=bool(s))
         assert got[2].is_empty and got[4].is_empty and got[8].is_empty
         assert [(iv.lo, iv.hi) for iv in got[5]] == [(0.0, 1.0), (1.0, INF)]
-        assert got[6] == IntervalUnion((Interval(0.0, INF, False, False),))
+        assert got[6] == IntervalUnion.from_intervals((Interval(0.0, INF, False, False),))
 
 
 @st.composite

@@ -307,6 +307,15 @@ class TestSimulateCommand:
         assert record["config"]["workers"] == 1
 
 
+def test_cold_import_leaves_scipy_stats_out():
+    # scipy.stats takes about 0.4 s to import and only `simulate` needs it,
+    # so every command would pay for it at start-up.
+    probe = "import sys, cluster_sieve.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_version_flag():
     r = run_cli("--version")
     assert r.returncode == 0

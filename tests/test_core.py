@@ -3,17 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_sieve.core import (
     INF,
+    MERGE_TOL,
     Interval,
     IntervalUnion,
     Method,
     PValueResult,
     interval_contains,
+    merge_pieces,
 )
 
-from oracles import interval_intersect
+from oracles import canonicalize, interval_intersect
 
 
 def U(*pairs):
@@ -45,12 +49,12 @@ class TestIntervalUnion:
         assert [(iv.lo, iv.hi) for iv in u.intervals] == [(0.0, 2.0), (3.0, 5.0)]
 
     def test_touching_closed_endpoints_merge(self):
-        u = IntervalUnion((Interval(0, 1, True, True), Interval(1, 2, False, True)))
+        u = IntervalUnion.from_intervals((Interval(0, 1, True, True), Interval(1, 2, False, True)))
         assert len(u.intervals) == 1
         assert (u.intervals[0].lo, u.intervals[0].hi) == (0.0, 2.0)
 
     def test_open_gap_does_not_merge(self):
-        u = IntervalUnion((Interval(0, 1, True, False), Interval(1, 2, False, True)))
+        u = IntervalUnion.from_intervals((Interval(0, 1, True, False), Interval(1, 2, False, True)))
         assert len(u.intervals) == 2
 
     def test_empty_and_full(self):
@@ -67,13 +71,13 @@ class TestIntervalUnion:
         assert interval_intersect(U((0, 2)), IntervalUnion.empty()).intervals == ()
 
     def test_intersect_preserves_openness(self):
-        a = IntervalUnion((Interval(0, 2, True, False),))
-        b = IntervalUnion((Interval(1, 2, True, True),))
+        a = IntervalUnion.from_intervals((Interval(0, 2, True, False),))
+        b = IntervalUnion.from_intervals((Interval(1, 2, True, True),))
         got = interval_intersect(a, b)
         assert got.intervals[0].hi == 2.0 and got.intervals[0].hi_closed is False
 
     def test_contains_respects_closedness(self):
-        u = IntervalUnion((Interval(1, 2, False, True),))
+        u = IntervalUnion.from_intervals((Interval(1, 2, False, True),))
         assert not interval_contains(u, 1.0)
         assert interval_contains(u, 2.0)
         assert interval_contains(u, 1.5)
@@ -96,6 +100,51 @@ class TestIntervalUnion:
                 if min(abs(x - c) for c in cuts) < 1e-9:
                     continue
                 assert interval_contains(u, x) == any(lo < x < hi for lo, hi in pieces)
+
+
+# Endpoints with ties, gaps just under and just over MERGE_TOL, a scale
+# at which MERGE_TOL is below one ulp, and (as an upper end) infinity.
+ENDS = (0.0, 0.4 * MERGE_TOL, 1.0, 1.0 + 0.5 * MERGE_TOL, 1.0 + 1.5 * MERGE_TOL,
+        2.0, 3.0, 1e16, 1e16 + 2.0, INF)
+
+
+@st.composite
+def grouped_piece(draw):
+    """(group, interval): nested, tied and point pieces, open or closed."""
+    i = draw(st.integers(0, len(ENDS) - 2))
+    j = draw(st.integers(i, len(ENDS) - 1))
+    iv = Interval(ENDS[i], ENDS[j], draw(st.booleans()), draw(st.booleans()))
+    return draw(st.integers(0, 2)), iv
+
+
+class TestMergeRule:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(grouped_piece(), max_size=10))
+    def test_matches_the_reference_merge(self, drawn):
+        ivs = [iv for _, iv in drawn]
+        assert IntervalUnion.from_intervals(ivs).intervals == canonicalize(ivs)
+        # per group, as the solvers merge the pieces of each row
+        group = np.array([g for g, _ in drawn], dtype=int)
+        fields = [np.array([getattr(iv, f) for iv in ivs], dtype=t)
+                  for f, t in (("lo", float), ("hi", float),
+                               ("lo_closed", bool), ("hi_closed", bool))]
+        g, *merged = merge_pieces(*fields, group)
+        got = list(zip(g.tolist(), map(Interval, *(f.tolist() for f in merged))))
+        want = [(k, iv) for k in sorted(set(group.tolist()))
+                for iv in canonicalize([iv for gk, iv in drawn if gk == k])]
+        assert got == want
+
+    def test_open_start_at_a_shared_lower_end_still_merges(self):
+        u = IntervalUnion.from_intervals((
+            Interval(0, 1, True, False), Interval(1, 2, False, False), Interval(1, 3, True, False),
+        ))
+        assert u == IntervalUnion.from_intervals((Interval(0, 3, True, False),))
+
+    def test_arrays_are_read_only_copies(self):
+        lo = np.array([1.0, 0.0])
+        u = IntervalUnion(lo, np.array([2.0, 0.5]), np.ones(2, bool), np.ones(2, bool))
+        assert lo.flags.writeable and not u.lo.flags.writeable
+        assert u.lo.tolist() == [0.0, 1.0]
 
 
 class TestPValueResult:

@@ -6,6 +6,7 @@ the library uses internally.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -194,6 +195,22 @@ class TestTruncatedSurvival:
         spec = TruncatedDistSpec.chi(3, U((1e8, 1e8 + 1e-8)))
         with pytest.raises(ZeroMassSet):
             truncated_survival(1e8, spec)
+
+    def test_f_tail_far_below_the_double_range_is_exact(self):
+        # S = [300, 303] under F(20, 3000) has log mass about -1598.5; the
+        # log-space path resolves it, so no approximation is taken.
+        d1, d2 = 20, 3000
+        spec = TruncatedDistSpec.fisher_f(d1, d2, U((300.0, 303.0)))
+        p, info = truncated_survival_info(301.5, spec)
+        with mpmath.workdps(60):
+            def sf(t):
+                z = mpmath.mpf(d2) / (d2 + d1 * mpmath.mpf(t))
+                return mpmath.betainc(d2 / 2, d1 / 2, 0, z, regularized=True)
+
+            want = (sf(301.5) - sf(303)) / (sf(300) - sf(303))
+            assert mpmath.log(sf(300) - sf(303)) < -1500
+        assert info["eval_path"] == "log_exact"
+        assert p == pytest.approx(float(want), rel=1e-10)
 
     def test_numerator_underflow_reports_zero_with_flag(self):
         spec = TruncatedDistSpec.chi(3, U((1.0, INF)))

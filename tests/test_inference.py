@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cluster_sieve.core import DataMatrix, Method, interval_contains
+from cluster_sieve.core import INF, DataMatrix, IntervalUnion, Method, interval_contains
 from cluster_sieve.distributions import TruncatedDistSpec, truncated_survival
 from cluster_sieve import inference as inf
 from cluster_sieve.kmeans import KMeansConfig
@@ -321,3 +321,25 @@ class TestSelectionAccounting:
             assert 0.0 <= res.p_value <= 1.0
             return
         pytest.fail("every seed degenerated")
+
+
+class TestStatisticInItsSet:
+    """The library's own check that psi_obs lies in S, up to a relative
+    1e-9 of its size for the rounding of the endpoints."""
+
+    @pytest.mark.parametrize("variance", [inf.VarianceSpec.known(1.0), inf.VarianceSpec.unknown()])
+    def test_statistic_outside_the_set_is_na(self, monkeypatch, variance):
+        def beyond(path, trace=None, selection=None):
+            return IntervalUnion.from_pairs([(2.0 * path.psi_obs + 1.0, INF)])
+
+        monkeypatch.setattr(inf, "truncation_set", beyond)
+        res = inf.run_test(request(gauss_data(3, 30, 2), 2, variance=variance))
+        assert res.degenerate and res.diagnostics["reason"] == "statistic_outside_set"
+
+    def test_endpoint_within_rounding_still_gives_a_pvalue(self, monkeypatch):
+        def just_below(path, trace=None, selection=None):
+            return IntervalUnion.from_pairs([(0.0, path.psi_obs * (1.0 - 1e-10))])
+
+        monkeypatch.setattr(inf, "truncation_set", just_below)
+        res = inf.run_test(request(gauss_data(3, 30, 2), 2))
+        assert not res.degenerate and res.p_value == 0.0
