@@ -28,7 +28,6 @@ from .distributions import (
     chi_survival,
     chisq_survival,
     f_survival,
-    f_to_chisq_approx,
     truncated_survival,
     truncated_survival_info,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "chi_survival",
     "chisq_survival",
     "f_survival",
-    "f_to_chisq_approx",
     "build_projection",
     "run_kmeans",
     "run_power",

@@ -39,8 +39,9 @@ class EmptySelection(NotAvailable):
 
 
 class ZeroMassSet(NotAvailable):
-    """The truncation set carries no numerically detectable probability
-    mass, even in log space and through the approximation fallback."""
+    """Every piece of the truncation set has log mass -inf in double
+    precision: a set of points only, or a lower tail below the normal
+    range of doubles."""
 
 
 @dataclass(frozen=True)
@@ -222,12 +223,17 @@ def merge_pieces(lo, hi, lo_closed, hi_closed, group=None):
     group's (closed above open at a tie), and a piece joins the one
     before when it starts within MERGE_TOL of that maximum, unless both
     are open at one shared point: strict inequalities leave that point
-    removed around a root. An unbounded piece is open at infinity.
+    removed around a root. An unbounded piece is open at infinity, and a
+    piece that holds no point is dropped first.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     lc = np.asarray(lo_closed, dtype=bool)
     hc = np.asarray(hi_closed, dtype=bool) & (hi < INF)
     g = np.zeros(lo.size, dtype=int) if group is None else np.asarray(group)
+    # a piece with lo == hi holds its point only when both ends are closed
+    holds = (lo < hi) | (lc & hc)
+    if not holds.all():
+        g, lo, hi, lc, hc = (a[holds] for a in (g, lo, hi, lc, hc))
     if lo.size < 2:
         return g, lo, hi, lc, hc
     same = g[1:] == g[:-1]

@@ -1,29 +1,46 @@
-"""Survival functions for chi, chi-squared, and F laws, their truncated
-versions, and the F-to-chi-squared fallback approximation.
+"""Survival functions for chi, chi-squared, and F laws, and their tails
+truncated to an interval union.
 
-Truncated p-values are ratios of tail masses that can both underflow
-double precision, so the default evaluation path works per interval in
-log space with a stable log-diff-exp. The F family falls back to a
-moment-matched chi-squared approximation only when even the log-space
-masses lose all significant digits.
+A truncated p-value is a ratio of set masses that can both lie far below
+the double range, so every mass is kept as a log. One rule gives the log
+mass of each piece [lo, hi] under either law: the log difference of the
+smaller of the two tails P(T <= hi) and P(T >= lo), which keeps every
+digit unless the piece holds only a small part of that tail. Such a
+narrow piece is integrated instead, by a fixed Gauss-Legendre rule on
+its density taken relative to the value at the piece's lower end.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
 
 from .core import INF, IntervalUnion, ZeroMassSet
 
-_EPS = np.finfo(float).eps
-# A log-mass difference below this multiple of the rounding noise in the
-# log survival values cannot be distinguished from cancellation error.
-_SIG_GUARD = 32.0
 _TINY = 1e-280
 _MAX_CF_ITER = 500
+_LN2 = math.log(2.0)
+# The smallest normal double: a lower tail below it has lost digits to
+# gradual underflow, and counts as 0.
+_NORMAL_MIN = np.finfo(float).tiny
+
+# A piece is narrow when its log tail difference delta has -delta below
+# this. At or above it, the piece holds at least 1 - 1/e of the smaller
+# tail, so top + log(1 - e^delta) carries the rounding of the two tails
+# times at most 1/(1 - 1/e) ~ 1.6. Below it, x*f(x) changes little
+# across the piece on the scale s = log(x/lo): by at most a factor e^0.49
+# over the 5,799 narrow pieces of 2,000 random sets of both laws, d1 from
+# 1 to 40, deep tails and pieces starting at 0 included.
+_NARROW = 1.0
+# The n-node rule integrates e^(c*t) on [-1, 1] to a relative error of
+# about 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) * c^(2n). For n = 12 that is
+# 3e-31 * c^24, below one ulp for c up to 3.5, that is, for x*f(x)
+# changing by up to e^7 across the piece, far beyond the e^0.49 seen.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
+# the same rule on [0, 1]
+_NODES, _WEIGHTS = (1.0 + _NODES) / 2.0, _WEIGHTS / 2.0
 
 
 def chi_survival(t: float, d: int) -> float:
@@ -50,21 +67,11 @@ def f_survival(t: float, d1: int, d2: int) -> float:
     return float(special.betainc(d2 / 2.0, d1 / 2.0, z))
 
 
-def _log_gammaincc(a: float, x: float) -> float:
-    """log Q(a, x) for the regularized upper incomplete gamma.
-
-    Uses scipy in the body; far in the tail, where Q underflows, the
-    classical continued fraction evaluated by Lentz's method gives the
-    log directly:  Q(a,x) = e^{-x} x^a / Gamma(a) * CF(a,x).
-    """
-    if x == 0.0:
-        return 0.0
-    if x == INF:
-        return -INF
-    val = float(special.gammaincc(a, x))
-    if val > _TINY:
-        return math.log(val)
-    # Tail regime: x is necessarily well above a, the CF converges fast.
+def _log_gammaincc_cf(a: float, x: float) -> float:
+    """log Q(a, x) for the regularized upper incomplete gamma where Q
+    underflows: x is then well above a, and the classical continued
+    fraction, evaluated by Lentz's method, gives the log directly:
+    Q(a,x) = e^{-x} x^a / Gamma(a) * CF(a,x)."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -87,24 +94,10 @@ def _log_gammaincc(a: float, x: float) -> float:
     return -x + a * math.log(x) - math.lgamma(a) + math.log(h)
 
 
-def _log_betainc(a: float, b: float, z: float) -> float:
-    """log I_z(a, b) for the regularized incomplete beta.
-
-    scipy in the body; in the underflow regime the continued fraction
-    applies because z is then far below the dominance boundary
-    (a+1)/(a+b+2).
-    """
-    if z <= 0.0:
-        return -INF
-    if z >= 1.0:
-        return 0.0
-    val = float(special.betainc(a, b, z))
-    if val > _TINY:
-        return math.log(val)
-    if z > (a + 1.0) / (a + b + 2.0):
-        # Not reachable for tail ratios of interest; the scipy value has
-        # underflowed and no better estimate is available here.
-        return -INF if val == 0.0 else math.log(val)
+def _log_betainc_cf(a: float, b: float, z: float) -> float:
+    """log I_z(a, b) for the regularized incomplete beta where it
+    underflows: z is then far below the dominance boundary
+    (a+1)/(a+b+2), where the continued fraction converges fast."""
     log_prefactor = (
         a * math.log(z)
         + b * math.log1p(-z)
@@ -152,29 +145,46 @@ def _betacf(a: float, b: float, z: float) -> float:
     return h
 
 
-def log_chi_survival(t: float, d: int) -> float:
-    """log P(chi_d >= t), accurate far into the tail."""
+def _log_tails(kind: str, d1: int, d2: int | None, x: np.ndarray):
+    """log P(T <= x) and log P(T >= x) at each x >= 0 of an array, for T
+    following chi_d1 or F_{d1,d2}. Upper tails below the double range
+    come from continued fractions; lower tails below the normal range
+    are -inf. Callers silence numpy's warnings for log(0)."""
+    if kind == "chi":
+        a, u = d1 / 2.0, x * x / 2.0
+        lower, upper = special.gammainc(a, u), special.gammaincc(a, u)
+        deep = lambda i: _log_gammaincc_cf(a, u[i])
+    else:
+        a, b = d1 / 2.0, d2 / 2.0
+        zc = d2 / (d2 + d1 * x)
+        z = np.where(x == INF, 1.0, d1 * x / (d1 * x + d2))
+        lower, upper = special.betainc(a, b, z), special.betainc(b, a, zc)
+        deep = lambda i: _log_betainc_cf(b, a, zc[i])
+    # each tail from the smaller one once it passes 1/2, so that log P and
+    # log Q near 0 keep the digits of the other tail
+    lower = np.where(lower < _NORMAL_MIN, 0.0, lower)
+    log_lower = np.where(lower > 0.5, np.log1p(-upper), np.log(lower))
+    log_upper = np.where(upper > 0.5, np.log1p(-lower), np.log(upper))
+    for i in np.flatnonzero((upper <= _TINY) & (x < INF)):
+        log_upper[i] = deep(i)
+    return log_lower, log_upper
+
+
+def _log_survival(kind: str, d1: int, d2: int | None, t: float) -> float:
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == INF:
-        return -INF
-    return _log_gammaincc(d / 2.0, t * t / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_log_tails(kind, d1, d2, np.array([float(t)]))[1][0])
 
 
-def log_chisq_survival(x: float, d: int) -> float:
-    if x == INF:
-        return -INF
-    return _log_gammaincc(d / 2.0, x / 2.0)
+def log_chi_survival(t: float, d: int) -> float:
+    """log P(chi_d >= t), accurate far into the tail."""
+    return _log_survival("chi", d, None, t)
 
 
 def log_f_survival(t: float, d1: int, d2: int) -> float:
     """log P(F_{d1,d2} >= t), accurate far into the tail."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == INF:
-        return -INF
-    z = d2 / (d2 + d1 * t)
-    return _log_betainc(d2 / 2.0, d1 / 2.0, z)
+    return _log_survival("f", d1, d2, t)
 
 
 @dataclass(frozen=True)
@@ -203,145 +213,80 @@ class TruncatedDistSpec:
     def fisher_f(cls, d1: int, d2: int, support: IntervalUnion) -> "TruncatedDistSpec":
         return cls(kind="f", d1=int(d1), d2=int(d2), support=support)
 
-    def log_sf(self, t: float) -> float:
-        if self.kind == "chi":
-            return log_chi_survival(t, self.d1)
-        return log_f_survival(t, self.d1, self.d2)
+
+def _narrow_log_mass(spec: TruncatedDistSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Log mass of pieces 0 < lo <= hi whose tail difference has too few
+    digits: log(lo f(lo)) plus the log of the integral of x f(x) / (lo f(lo))
+    over s = log(x/lo) in [0, log(hi/lo)]. On that scale the integrand is
+    smooth even where f is not, as F with d1 = 1 is at 0, and the offsets
+    x - lo are formed without rounding x."""
+    d1, d2 = spec.d1, spec.d2
+    span = np.log1p((hi - lo) / lo)
+    s = span[:, None] * _NODES
+    u = lo[:, None] * np.expm1(s)
+    if spec.kind == "chi":
+        log_xf = d1 * np.log(lo) - lo * lo / 2.0 - (d1 / 2.0 - 1.0) * _LN2 - math.lgamma(d1 / 2.0)
+        rel = d1 * s - u * (2.0 * lo[:, None] + u) / 2.0
+    else:
+        log_xf = (
+            d1 / 2.0 * np.log(d1 * lo / d2)
+            - (d1 + d2) / 2.0 * np.log1p(d1 * lo / d2)
+            - special.betaln(d1 / 2.0, d2 / 2.0)
+        )
+        rel = d1 / 2.0 * s - (d1 + d2) / 2.0 * np.log1p(d1 * u / (d2 + d1 * lo[:, None]))
+    return log_xf + np.log(span * (np.exp(rel) @ _WEIGHTS))
 
 
-def _log1mexp(u: float) -> float:
-    """log(1 - e^u) for u <= 0, stable at both ends."""
-    if u >= 0.0:
-        return -INF if u == 0.0 else math.nan
-    if u > -math.log(2.0):
-        return math.log(-math.expm1(u))
-    return math.log1p(-math.exp(u))
-
-
-def _interval_log_mass(
-    log_sf: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, bool]:
-    """Log mass of one interval and whether the value is numerically
-    significant (the log-survival difference exceeds rounding noise)."""
-    ls_lo = log_sf(lo)
-    if ls_lo == -INF:
-        return -INF, False
-    if hi == INF:
-        return ls_lo, True
-    ls_hi = log_sf(hi)
-    delta = ls_hi - ls_lo
-    noise = _SIG_GUARD * _EPS * max(abs(ls_lo), abs(ls_hi), 1.0)
-    if delta >= 0.0:
-        return -INF, False
-    return ls_lo + _log1mexp(delta), (-delta) > noise
-
-
-def _log_mass_of(
-    log_sf: Callable[[float], float], region: IntervalUnion
-) -> tuple[float, bool]:
-    """Total log mass of an interval union; significant if any piece is."""
-    ends = zip(region.lo.tolist(), region.hi.tolist())
-    pieces = [_interval_log_mass(log_sf, lo, hi) for lo, hi in ends]
-    lm = np.array([m for m, _ in pieces])
-    top = lm.max(initial=-INF)
-    if top == -INF:
-        return -INF, False
-    # log-sum-exp with the largest terms factored out, as scipy's
-    # logsumexp sums them, so the result is the same to the last bit
-    at_top = lm == top
-    rest = np.where(at_top, 0.0, np.exp(lm - top)).sum() / at_top.sum()
-    total = float(np.log1p(rest) + np.log(at_top.sum()) + top)
-    return total, any(sig and m > -INF for m, sig in pieces)
-
-
-def _upper_region(support: IntervalUnion, t: float) -> IntervalUnion:
-    """The part of support at or above t: every piece is clipped at t
-    from below, and a piece clipped to a point keeps that point."""
-    lo = np.maximum(support.lo, max(t, 0.0))
-    lo_closed = support.lo_closed | (lo > support.lo)
-    keep = (lo < support.hi) | ((lo == support.hi) & lo_closed)
-    return IntervalUnion(lo[keep], support.hi[keep], lo_closed[keep], support.hi_closed[keep])
+def _piece_log_mass(spec: TruncatedDistSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Log mass of each piece [lo, hi] under the law of spec: the one
+    rule for both laws, for every piece of every set. A piece is the log
+    difference of the smaller of its two tails, P(T <= hi) or P(T >= lo),
+    unless it is narrow."""
+    n = lo.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p, log_q = _log_tails(spec.kind, spec.d1, spec.d2, np.concatenate((lo, hi)))
+        lower = log_p[n:] < log_q[:n]
+        top = np.where(lower, log_p[n:], log_q[:n])
+        delta = np.where(lower, log_p[:n], log_q[n:]) - top
+        # log(1 - e^delta), stable at both ends
+        mass = top + np.where(delta > -_LN2, np.log(-np.expm1(delta)), np.log1p(-np.exp(delta)))
+        narrow = (-delta < _NARROW) & (top > -INF)
+        if narrow.any():
+            mass[narrow] = _narrow_log_mass(spec, lo[narrow], hi[narrow])
+    return np.where(top > -INF, mass, -INF)
 
 
 def truncated_survival_info(t: float, spec: TruncatedDistSpec) -> tuple[float, dict]:
     """P(T >= t | T in S) for T following the reference law, with
-    diagnostics about the evaluation path.
+    diagnostics about the evaluation.
 
-    Works per interval in log space, where set masses far below the
-    double range stay exact. The F family switches to the chi-squared
-    approximation only when the exact set mass is zero or has no
-    significant digits; the chi family has no fallback and raises
-    ZeroMassSet instead.
+    The masses of S and of its part at or above t are log sums of the
+    piece masses of _piece_log_mass. A set with no mass in double
+    precision raises ZeroMassSet.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
+    S = spec.support
+    # S clipped at t from below; a piece wholly below t becomes the
+    # point t, which holds no mass
+    above = np.maximum(S.lo, t)
+    lo, hi = np.concatenate((S.lo, above)), np.concatenate((S.hi, np.maximum(S.hi, above)))
+    lm = _piece_log_mass(spec, lo, hi)
+    den, num = np.logaddexp.reduce(lm[: S.lo.size]), np.logaddexp.reduce(lm[S.lo.size :])
+    if den == -INF:
+        raise ZeroMassSet("the truncation set carries no mass in double precision")
     info: dict = {"eval_path": "log_exact"}
-    den, den_sig = _log_mass_of(spec.log_sf, spec.support)
-    if spec.kind == "f" and (den == -INF or not den_sig):
-        p, sub = _f_to_chisq_core(t, spec.d1, spec.d2, spec.support)
-        info.update(sub)
-        info["eval_path"] = "chisq_approx"
-        return p, info
-    if den == -INF or not den_sig:
-        raise ZeroMassSet(
-            "the truncation set carries no numerically detectable mass"
-        )
-    num, num_sig = _log_mass_of(spec.log_sf, _upper_region(spec.support, t))
-    if num == -INF:
-        info["numerator_underflow"] = True
-        return 0.0, info
-    if not num_sig:
-        info["numerator_insignificant"] = True
     p = math.exp(min(num - den, 0.0))
     if p == 0.0:
-        # The log ratio is finite but smaller than the double range.
+        # No mass above t, or a ratio below the double range.
         info["numerator_underflow"] = True
-    if num - den > 0.0:
-        # Mass above t exceeded total mass by rounding; flag if material.
-        if num - den > math.log1p(1e-9):
-            info["excess_mass"] = True
-        p = 1.0
-    return min(max(p, 0.0), 1.0), info
+    if num - den > math.log1p(1e-9):
+        # Mass above t exceeded total mass by more than rounding.
+        info["excess_mass"] = True
+    return p, info
 
 
 def truncated_survival(t: float, spec: TruncatedDistSpec) -> float:
     """P(T >= t | T in S); see truncated_survival_info for diagnostics."""
     p, _ = truncated_survival_info(t, spec)
     return p
-
-
-def _f_to_chisq_value(u, d1: int, d2: int):
-    """Monotone map of F_{d1,d2} values (a float or an array) to
-    chi^2_{d1} values matching lower-tail probabilities approximately."""
-    with np.errstate(invalid="ignore"):
-        lam = (2.0 * d2 + d1 * u / 3.0 + d1 - 2.0) / (2.0 * d2 + 4.0 * d1 * u / 3.0)
-    return np.where(u == INF, INF, lam * d1 * u)
-
-
-def _f_to_chisq_core(
-    t: float, d1: int, d2: int, support: IntervalUnion
-) -> tuple[float, dict]:
-    # Map the statistic and every interval endpoint; the map is strictly
-    # increasing, so interval structure is preserved.
-    lo, hi = (_f_to_chisq_value(u, d1, d2) for u in (support.lo, support.hi))
-    mapped = IntervalUnion(lo, hi, support.lo_closed, support.hi_closed)
-    log_sf = lambda x: log_chisq_survival(x, d1)
-    den, den_sig = _log_mass_of(log_sf, mapped)
-    if den == -INF or not den_sig:
-        raise ZeroMassSet(
-            "the truncation set carries no numerically detectable mass, "
-            "even through the chi-squared approximation"
-        )
-    mt = float(_f_to_chisq_value(t, d1, d2))
-    num, _ = _log_mass_of(log_sf, _upper_region(mapped, mt))
-    if num == -INF:
-        return 0.0, {"numerator_underflow": True}
-    return math.exp(min(num - den, 0.0)), {}
-
-
-def f_to_chisq_approx(t: float, d1: int, d2: int, support: IntervalUnion) -> float:
-    """Approximate P(F >= t | F in S) by mapping the problem to a
-    truncated chi^2_{d1}. Best effort: used when exact F tail ratios
-    degrade, and exposed for direct comparison against the exact path."""
-    p, _ = _f_to_chisq_core(t, d1, d2, support)
-    return min(max(p, 0.0), 1.0)

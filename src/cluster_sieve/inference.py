@@ -162,7 +162,7 @@ def _test(
         truncation=S,
         p_value=p,
         method=method,
-        diagnostics={**diag, **info},
+        diagnostics={**diag, **info, "iterations": trace.J, "converged": trace.converged},
     )
 
 
@@ -254,6 +254,8 @@ def test_bonferroni(req: TestRequest) -> PValueResult:
             "pairs_tested": [list(pair) for pair in V.pairs],
             "winning_pair": list(V.pairs[best]),
             "pairwise_p_values": [r.p_value for r in results],
+            "iterations": trace.J,
+            "converged": trace.converged,
         },
     )
 

@@ -214,10 +214,12 @@ def canonicalize(intervals) -> tuple[Interval, ...]:
     """The merge rule of IntervalUnion, one interval at a time: sorted by
     lower end with closed starts first, each interval joins the last
     merged one when it starts within MERGE_TOL of its upper end, unless
-    both are open at one shared point."""
-    if not intervals:
+    both are open at one shared point. A piece that holds no point, lo ==
+    hi with an open end, is dropped first."""
+    ivs = [iv for iv in intervals if iv.lo < iv.hi or (iv.lo_closed and iv.hi_closed)]
+    if not ivs:
         return ()
-    ivs = sorted(intervals, key=lambda iv: (iv.lo, not iv.lo_closed, iv.hi))
+    ivs = sorted(ivs, key=lambda iv: (iv.lo, not iv.lo_closed, iv.hi))
     merged = [ivs[0]]
     for iv in ivs[1:]:
         last = merged[-1]

@@ -29,7 +29,6 @@ from cluster_sieve.distributions import (
     TruncatedDistSpec,
     chi_survival,
     f_survival,
-    f_to_chisq_approx,
     truncated_survival,
 )
 from cluster_sieve import inference as inf
@@ -373,8 +372,7 @@ def _mp_truncated_survival(pdf, support, t):
 
 def test_distribution_numerics_against_quadrature():
     """Survival functions and truncated tail ratios against mpmath at
-    50 significant digits; the F-to-chi-squared fallback against the
-    exact F path where both are computable."""
+    50 significant digits."""
     mp.mp.dps = 50
 
     for d in (1, 3, 10):
@@ -415,20 +413,6 @@ def test_distribution_numerics_against_quadrature():
             got = truncated_survival(t, TruncatedDistSpec.fisher_f(d1, d2, S))
             want = _mp_truncated_survival(_mp_f_pdf(d1, d2), S, t)
             assert abs(got - want) <= 1e-10, f"F ({d1},{d2}) t={t}"
-
-    approx_cases = [
-        (4, 50, IntervalUnion.from_pairs([(0.2, 1.5), (2, 5)]),
-         (0.5, 1.0, 2.2), 1e-2),
-        (40, 200, IntervalUnion.from_pairs([(0.25, 4.0)]),
-         (0.5, 1.0, 2.0), 5e-3),
-    ]
-    for d1, d2, S, ts, tol in approx_cases:
-        exact_mass = _mp_truncated_survival(_mp_f_pdf(d1, d2), S, 0.0)
-        assert exact_mass >= 1e-6  # the approximation is only promised there
-        for t in ts:
-            exact = truncated_survival(t, TruncatedDistSpec.fisher_f(d1, d2, S))
-            approx = f_to_chisq_approx(t, d1, d2, S)
-            assert abs(approx - exact) <= tol, f"({d1},{d2}) t={t}"
 
 
 def test_fixed_partition_null_laws():

@@ -190,7 +190,40 @@ class TestTestCommand:
         out = json.loads(r.stdout)
         assert len(out["restart_p_values"]) == 3
         finite = [p for p in out["restart_p_values"] if p is not None]
-        assert out["p_value"] == pytest.approx(sum(finite) / len(finite))
+        want = min(1.0, 2.0 * sum(finite) / len(finite))
+        assert out["p_value"] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_restart_p_value_is_valid_under_the_null(self, tmp_path, capsys):
+        # Twice the mean of dependent p-values is a valid p-value (Vovk &
+        # Wang 2020): at 0.05 its rejection rate on null data may not
+        # exceed 0.05 by more than three standard errors.
+        from cluster_sieve import cli
+
+        rng = np.random.default_rng(2020)
+        path = tmp_path / "null.csv"
+        ps = []
+        for _ in range(200):
+            np.savetxt(path, rng.normal(size=(30, 2)), delimiter=",")
+            argv = ["test", str(path), "--k", "3", "--sigma", "1", "--restarts", "5"]
+            assert cli.main(argv) == 0
+            out = json.loads(capsys.readouterr().out)
+            finite = [p for p in out["restart_p_values"] if p is not None]
+            if finite:
+                assert out["p_value"] == pytest.approx(
+                    min(1.0, 2.0 * float(np.mean(finite))), rel=1e-15, abs=0)
+                ps.append(out["p_value"])
+        assert len(ps) >= 190
+        rate = np.mean(np.array(ps) <= 0.05)
+        assert rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / len(ps))
+
+    def test_json_reports_lloyd_convergence(self, blob_csv):
+        # seed 1 needs 5 Lloyd steps on this data
+        for extra, converged in (((), True), (("--max-iter", 1), False)):
+            r = run_cli("test", blob_csv, "--k", 3, "--sigma", 1, "--seed", 1, *extra)
+            diag = json.loads(r.stdout)["diagnostics"]
+            assert diag["eval_path"] == "log_exact"
+            assert diag["converged"] is converged
+            assert diag["iterations"] >= 1
 
     def test_out_writes_file_and_record(self, blob_csv, tmp_path):
         dest = tmp_path / "res.json"

@@ -110,9 +110,11 @@ ENDS = (0.0, 0.4 * MERGE_TOL, 1.0, 1.0 + 0.5 * MERGE_TOL, 1.0 + 1.5 * MERGE_TOL,
 
 @st.composite
 def grouped_piece(draw):
-    """(group, interval): nested, tied and point pieces, open or closed."""
+    """(group, interval): nested, tied and point pieces, open or closed;
+    a third of the draws are points, most of which hold no point."""
     i = draw(st.integers(0, len(ENDS) - 2))
-    j = draw(st.integers(i, len(ENDS) - 1))
+    point = draw(st.integers(0, 2)) == 0
+    j = i if point else draw(st.integers(i, len(ENDS) - 1))
     iv = Interval(ENDS[i], ENDS[j], draw(st.booleans()), draw(st.booleans()))
     return draw(st.integers(0, 2)), iv
 
@@ -139,6 +141,14 @@ class TestMergeRule:
             Interval(0, 1, True, False), Interval(1, 2, False, False), Interval(1, 3, True, False),
         ))
         assert u == IntervalUnion.from_intervals((Interval(0, 3, True, False),))
+
+    def test_a_piece_without_a_point_is_dropped(self):
+        u = IntervalUnion.from_intervals((Interval(1, 1, False, False),))
+        assert u.is_empty and u == IntervalUnion.empty()
+        joined = IntervalUnion.from_intervals((
+            Interval(1, 1, False, False), Interval(1, 3, False, True),
+        ))
+        assert joined == IntervalUnion.from_intervals((Interval(1, 3, False, True),))
 
     def test_arrays_are_read_only_copies(self):
         lo = np.array([1.0, 0.0])

@@ -1,8 +1,8 @@
 """Survival functions, log-space tails, and truncated p-values.
 
 Expected values are frozen from 60-digit computations with mpmath
-(regularized incomplete gamma/beta), independent of the scipy routines
-the library uses internally.
+(regularized incomplete gamma/beta), or computed with mpmath at 90
+digits, independent of the scipy routines the library uses internally.
 """
 import math
 
@@ -11,15 +11,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from cluster_sieve.core import INF, Interval, IntervalUnion, ZeroMassSet
+from cluster_sieve.core import INF, Interval, IntervalUnion, NotAvailable, ZeroMassSet
 from cluster_sieve.distributions import (
     TruncatedDistSpec,
     chi_survival,
     chisq_survival,
     f_survival,
-    f_to_chisq_approx,
     log_chi_survival,
-    log_chisq_survival,
     log_f_survival,
     truncated_survival,
     truncated_survival_info,
@@ -90,9 +88,6 @@ class TestLogSurvival:
         )
         # chi with d=2 has survival exp(-t^2/2) exactly
         assert log_chi_survival(90.0, 2) == pytest.approx(-4050.0, rel=1e-13)
-        assert log_chisq_survival(4e4, 5) == pytest.approx(
-            -19985.429376542606274, rel=1e-12
-        )
         assert log_f_survival(1e6, 3, 7) == pytest.approx(
             -44.543654018442271899, rel=1e-12
         )
@@ -191,10 +186,18 @@ class TestTruncatedSurvival:
                 num / den, abs=1e-10, rel=1e-8
             )
 
-    def test_zero_mass_support_raises(self):
+    def test_narrow_piece_far_out_gives_its_exact_pvalue(self):
+        # t is the lower end of the only piece, so p = 1 exactly, although
+        # the piece is one ulp wide and its tail difference rounds to 0
         spec = TruncatedDistSpec.chi(3, U((1e8, 1e8 + 1e-8)))
+        assert truncated_survival(1e8, spec) == 1.0
+
+    def test_set_without_mass_in_doubles_raises(self):
+        # points only; and a lower tail near 1e-480, below the double range
         with pytest.raises(ZeroMassSet):
-            truncated_survival(1e8, spec)
+            truncated_survival(1.0, TruncatedDistSpec.chi(3, U((1.0, 1.0), (2.0, 2.0))))
+        with pytest.raises(ZeroMassSet):
+            truncated_survival(0.0, TruncatedDistSpec.chi(40, U((0.0, 1e-12))))
 
     def test_f_tail_far_below_the_double_range_is_exact(self):
         # S = [300, 303] under F(20, 3000) has log mass about -1598.5; the
@@ -216,7 +219,7 @@ class TestTruncatedSurvival:
         spec = TruncatedDistSpec.chi(3, U((1.0, INF)))
         p, info = truncated_survival_info(60.0, spec)
         assert p == 0.0
-        assert info.get("numerator_underflow") or info.get("numerator_insignificant")
+        assert info["numerator_underflow"] is True
 
     def test_uniformity_of_truncated_chi_pvalues(self):
         # under the null, survival at a draw conditioned into the
@@ -235,24 +238,104 @@ class TestTruncatedSurvival:
         assert ks.pvalue > 0.01
 
 
-class TestFToChisq:
-    def test_matches_exact_on_moderate_sets(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            d1 = int(rng.integers(2, 10))
-            d2 = int(rng.integers(10, 80))
-            cuts = np.sort(rng.uniform(0.05, 3.0, size=4))
-            support = U((cuts[0], cuts[1]), (cuts[2], cuts[3]))
-            t = float(rng.uniform(cuts[0], cuts[3]))
-            spec = TruncatedDistSpec.fisher_f(d1, d2, support)
-            exact = truncated_survival(t, spec)
-            approx = f_to_chisq_approx(t, d1, d2, support)
-            assert approx == pytest.approx(exact, abs=1e-2)
+def _mp_tails(kind, d1, d2, x):
+    """P(T <= x) and P(T >= x) in mpmath, each a one-sided incomplete
+    gamma or beta (the two-bound form is not used: it returned 0.0 for a
+    narrow piece at x = 442)."""
+    if x == math.inf:
+        return mpmath.mpf(1), mpmath.mpf(0)
+    x = mpmath.mpf(x)
+    if kind == "chi":
+        a, u = mpmath.mpf(d1) / 2, x * x / 2
+        return (mpmath.gammainc(a, 0, u, regularized=True),
+                mpmath.gammainc(a, u, mpmath.inf, regularized=True))
+    a, b = mpmath.mpf(d1) / 2, mpmath.mpf(d2) / 2
+    return (mpmath.betainc(a, b, 0, d1 * x / (d1 * x + d2), regularized=True),
+            mpmath.betainc(b, a, 0, d2 / (d2 + d1 * x), regularized=True))
 
-    def test_large_den_df_nearly_exact(self):
-        support = U((0.5, 1.2), (1.8, 3.0))
-        spec = TruncatedDistSpec.fisher_f(40, 200, support)
-        for t in (0.5, 1.0, 2.0):
-            exact = truncated_survival(t, spec)
-            approx = f_to_chisq_approx(t, 40, 200, support)
-            assert approx == pytest.approx(exact, abs=5e-3)
+
+def mp_truncated_survival(kind, d1, d2, support, t):
+    """P(T >= t | T in S) at 90 digits. Each piece is a difference of
+    lower tails when both upper tails are near 1, of upper tails
+    otherwise, so no digit is lost to cancellation."""
+    def mass(lo, hi):
+        p_lo, q_lo = _mp_tails(kind, d1, d2, lo)
+        p_hi, q_hi = _mp_tails(kind, d1, d2, hi)
+        return p_hi - p_lo if p_hi < q_lo else q_lo - q_hi
+
+    with mpmath.workdps(90):
+        pieces = [(iv.lo, iv.hi) for iv in support.intervals]
+        den = mpmath.fsum(mass(lo, hi) for lo, hi in pieces)
+        num = mpmath.fsum(mass(max(lo, t), hi) for lo, hi in pieces if hi >= t)
+        assert den > 0
+        return float(num / den)
+
+
+class TestExactTails:
+    # Sets whose p-value a difference of upper tails gets wrong: digits
+    # lost to cancellation, or no mass left at all.
+    @pytest.mark.parametrize("kind, d1, d2, piece, t", [
+        ("f", 4, 3000, (16.18000151255556, 16.1800015125563), 16.180001512556274),
+        ("f", 20, 3000, (2.0, 2.0 * (1 + 1e-14)), 2.0 * (1 + 3e-15)),
+        ("chi", 40, None, (2.0, 2.02), 2.006),
+        ("f", 40, 200, (0.05, 0.1), 0.07),
+        ("chi", 10, None, (0.01, 0.05), 0.02),
+        # The density of F with d1 = 1 is infinite at 0: a narrow piece
+        # close to 0 needs the rule on the log scale, and a piece from
+        # near 0 to infinity needs P(T >= x) as 1 - P(T <= x).
+        ("f", 1, 30, (0.1, 0.6), 0.3),
+        ("f", 1, 10, (1e-14, math.inf), 4e-14),
+    ])
+    def test_cases_that_lost_digits(self, kind, d1, d2, piece, t):
+        spec = TruncatedDistSpec(kind, d1, d2, U(piece))
+        p, info = truncated_survival_info(t, spec)
+        assert info["eval_path"] == "log_exact"
+        assert p == pytest.approx(mp_truncated_survival(kind, d1, d2, spec.support, t),
+                                  rel=1e-10, abs=0)
+
+    @staticmethod
+    def _draw(rng, kind, d1, d2):
+        """One to three pieces, each starting at a quantile of the law
+        from 1e-30 below to 1e-250 above, of relative width 1e-14 to 1;
+        the first may start at 0 and the last may be unbounded. t lies in
+        one of them."""
+        law = stats.chi(d1) if kind == "chi" else stats.f(d1, d2)
+        starts = []
+        for _ in range(int(rng.integers(1, 4))):
+            side = int(rng.integers(3))
+            if side == 0:
+                lo = law.ppf(10 ** rng.uniform(-30, -0.3))
+            elif side == 1:
+                lo = law.ppf(rng.uniform(0.05, 0.95))
+            else:
+                lo = law.isf(10 ** rng.uniform(-250, -0.3))
+            starts.append(float(lo) if np.isfinite(lo) and lo > 0 else float(law.median()))
+        pieces = []
+        for i, lo in enumerate(sorted(starts)):
+            hi = lo + lo * 10 ** rng.uniform(-14, 0)
+            if i == 0 and rng.random() < 0.15:
+                lo = 0.0
+            if i == len(starts) - 1 and rng.random() < 0.15:
+                hi = math.inf
+            pieces.append((lo, hi))
+        S = U(*pieces)
+        iv = S.intervals[int(rng.integers(len(S.intervals)))]
+        if iv.hi < math.inf:
+            t = iv.lo + (iv.hi - iv.lo) * rng.uniform()
+        else:
+            t = iv.lo * (1 + 10 ** rng.uniform(-14, -1)) if iv.lo > 0 else 1.0
+        return S, t
+
+    def test_sweep_against_mpmath(self):
+        rng = np.random.default_rng(20240)
+        for i in range(400):
+            kind = ("chi", "f")[i % 2]
+            d1 = (1, 2, 4, 10, 40)[(i // 2) % 5]
+            d2 = None if kind == "chi" else int(rng.choice([3, 10, 30, 200, 3000]))
+            S, t = self._draw(rng, kind, d1, d2)
+            want = mp_truncated_survival(kind, d1, d2, S, t)
+            try:
+                got = truncated_survival(t, TruncatedDistSpec(kind, d1, d2, S))
+            except NotAvailable:
+                pytest.fail(f"NA for {kind} {d1} {d2} {S} at {t}")
+            assert got == pytest.approx(want, rel=1e-10, abs=0), (kind, d1, d2, S, t)

@@ -1,6 +1,7 @@
 """End-to-end p-value machinery: request validation, scale estimators,
 the chi and F tests, Bonferroni, and the plug-in variants."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,3 +344,23 @@ class TestStatisticInItsSet:
         monkeypatch.setattr(inf, "truncation_set", just_below)
         res = inf.run_test(request(gauss_data(3, 30, 2), 2))
         assert not res.degenerate and res.p_value == 0.0
+
+
+class TestConvergenceReported:
+    # Lloyd's algorithm needs 6 steps on this data before it repeats.
+    @pytest.mark.parametrize("variance, bonferroni", [
+        (inf.VarianceSpec.known(1.0), False),
+        (inf.VarianceSpec.unknown(), False),
+        (inf.VarianceSpec.known(1.0), True),
+    ])
+    def test_iterations_and_convergence_in_diagnostics(self, variance, bonferroni):
+        req = request(gauss_data(0, 40, 2), 3, variance=variance)
+        full = inf.run_test(req, bonferroni=bonferroni)
+        assert not full.degenerate
+        assert full.diagnostics["iterations"] == 6
+        assert full.diagnostics["converged"] is True
+        cut = replace(req, kmeans_cfg=KMeansConfig(K=3, seed=0, max_iter=1))
+        res = inf.run_test(cut, bonferroni=bonferroni)
+        assert not res.degenerate
+        assert res.diagnostics["iterations"] == 1
+        assert res.diagnostics["converged"] is False
