@@ -68,9 +68,10 @@ class CliRunRecord:
 
 def read_matrix(path: str, header: bool) -> np.ndarray:
     """Read a comma- or tab-delimited numeric file, one observation per
-    row. The delimiter is sniffed from the first data line."""
+    row. The delimiter is sniffed from the first data line; a leading
+    UTF-8 byte order mark, as spreadsheet exports write, is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [ln for ln in (raw.strip("\r\n") for raw in fh) if ln.strip()]
     except OSError as e:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {e}")

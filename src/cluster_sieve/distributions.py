@@ -67,11 +67,12 @@ def f_survival(t: float, d1: int, d2: int) -> float:
     return float(special.betainc(d2 / 2.0, d1 / 2.0, z))
 
 
-def _log_gammaincc_cf(a: float, x: float) -> float:
-    """log Q(a, x) for the regularized upper incomplete gamma where Q
-    underflows: x is then well above a, and the classical continued
-    fraction, evaluated by Lentz's method, gives the log directly:
-    Q(a,x) = e^{-x} x^a / Gamma(a) * CF(a,x)."""
+def _log_gammaincc_cf(a: float, x: float, rel: float) -> float:
+    """log Q(a, x) + x - rel for the regularized upper incomplete gamma
+    where Q underflows: x is then well above a, and the classical
+    continued fraction, evaluated by Lentz's method, gives the log
+    directly: Q(a,x) = e^{-x} x^a / Gamma(a) * CF(a,x). rel is x less a
+    fixed offset, which the caller forms without the rounding of x."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -91,7 +92,7 @@ def _log_gammaincc_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return -x + a * math.log(x) - math.lgamma(a) + math.log(h)
+    return -rel + a * math.log(x) - math.lgamma(a) + math.log(h)
 
 
 def _log_betainc_cf(a: float, b: float, z: float) -> float:
@@ -145,15 +146,21 @@ def _betacf(a: float, b: float, z: float) -> float:
     return h
 
 
-def _log_tails(kind: str, d1: int, d2: int | None, x: np.ndarray):
+def _log_tails(kind: str, d1: int, d2: int | None, x: np.ndarray, x0: float = 0.0):
     """log P(T <= x) and log P(T >= x) at each x >= 0 of an array, for T
     following chi_d1 or F_{d1,d2}. Upper tails below the double range
     come from continued fractions; lower tails below the normal range
-    are -inf. Callers silence numpy's warnings for log(0)."""
+    are -inf. Callers silence numpy's warnings for log(0).
+
+    Chi logs are returned plus x0^2/2, so that far out on the axis the
+    logs at nearby points differ to full precision: the continued
+    fraction takes -(x - x0)(x + x0)/2 in place of the density's -x^2/2,
+    whose rounding error of eps*x^2/2 their difference would keep."""
+    shift = 0.0
     if kind == "chi":
-        a, u = d1 / 2.0, x * x / 2.0
+        a, u, shift = d1 / 2.0, x * x / 2.0, x0 * x0 / 2.0
         lower, upper = special.gammainc(a, u), special.gammaincc(a, u)
-        deep = lambda i: _log_gammaincc_cf(a, u[i])
+        deep = lambda i: _log_gammaincc_cf(a, u[i], (x[i] - x0) * (x[i] + x0) / 2.0)
     else:
         a, b = d1 / 2.0, d2 / 2.0
         zc = d2 / (d2 + d1 * x)
@@ -163,8 +170,8 @@ def _log_tails(kind: str, d1: int, d2: int | None, x: np.ndarray):
     # each tail from the smaller one once it passes 1/2, so that log P and
     # log Q near 0 keep the digits of the other tail
     lower = np.where(lower < _NORMAL_MIN, 0.0, lower)
-    log_lower = np.where(lower > 0.5, np.log1p(-upper), np.log(lower))
-    log_upper = np.where(upper > 0.5, np.log1p(-lower), np.log(upper))
+    log_lower = np.where(lower > 0.5, np.log1p(-upper), np.log(lower)) + shift
+    log_upper = np.where(upper > 0.5, np.log1p(-lower), np.log(upper)) + shift
     for i in np.flatnonzero((upper <= _TINY) & (x < INF)):
         log_upper[i] = deep(i)
     return log_lower, log_upper
@@ -214,18 +221,22 @@ class TruncatedDistSpec:
         return cls(kind="f", d1=int(d1), d2=int(d2), support=support)
 
 
-def _narrow_log_mass(spec: TruncatedDistSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _narrow_log_mass(
+    spec: TruncatedDistSpec, lo: np.ndarray, hi: np.ndarray, x0: float
+) -> np.ndarray:
     """Log mass of pieces 0 < lo <= hi whose tail difference has too few
     digits: log(lo f(lo)) plus the log of the integral of x f(x) / (lo f(lo))
     over s = log(x/lo) in [0, log(hi/lo)]. On that scale the integrand is
     smooth even where f is not, as F with d1 = 1 is at 0, and the offsets
-    x - lo are formed without rounding x."""
+    x - lo are formed without rounding x. Chi masses are plus x0^2/2, as
+    in _log_tails."""
     d1, d2 = spec.d1, spec.d2
     span = np.log1p((hi - lo) / lo)
     s = span[:, None] * _NODES
     u = lo[:, None] * np.expm1(s)
     if spec.kind == "chi":
-        log_xf = d1 * np.log(lo) - lo * lo / 2.0 - (d1 / 2.0 - 1.0) * _LN2 - math.lgamma(d1 / 2.0)
+        log_c = (d1 / 2.0 - 1.0) * _LN2 + math.lgamma(d1 / 2.0)
+        log_xf = d1 * np.log(lo) - (lo - x0) * (lo + x0) / 2.0 - log_c
         rel = d1 * s - u * (2.0 * lo[:, None] + u) / 2.0
     else:
         log_xf = (
@@ -241,10 +252,15 @@ def _piece_log_mass(spec: TruncatedDistSpec, lo: np.ndarray, hi: np.ndarray) -> 
     """Log mass of each piece [lo, hi] under the law of spec: the one
     rule for both laws, for every piece of every set. A piece is the log
     difference of the smaller of its two tails, P(T <= hi) or P(T >= lo),
-    unless it is narrow."""
+    unless it is narrow. Chi masses are all plus x0^2/2, x0 the smallest
+    lo, so that pieces far out on the axis keep their ratios. The shift
+    costs no digits where a tail is computed directly: an upper tail's
+    log is itself about -x^2/2 <= -x0^2/2, and a lower tail serves only
+    pieces below the median, where x0^2/2 < d1/2."""
     n = lo.size
+    x0 = float(lo.min()) if spec.kind == "chi" else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_p, log_q = _log_tails(spec.kind, spec.d1, spec.d2, np.concatenate((lo, hi)))
+        log_p, log_q = _log_tails(spec.kind, spec.d1, spec.d2, np.concatenate((lo, hi)), x0)
         lower = log_p[n:] < log_q[:n]
         top = np.where(lower, log_p[n:], log_q[:n])
         delta = np.where(lower, log_p[:n], log_q[n:]) - top
@@ -252,7 +268,7 @@ def _piece_log_mass(spec: TruncatedDistSpec, lo: np.ndarray, hi: np.ndarray) -> 
         mass = top + np.where(delta > -_LN2, np.log(-np.expm1(delta)), np.log1p(-np.exp(delta)))
         narrow = (-delta < _NARROW) & (top > -INF)
         if narrow.any():
-            mass[narrow] = _narrow_log_mass(spec, lo[narrow], hi[narrow])
+            mass[narrow] = _narrow_log_mass(spec, lo[narrow], hi[narrow], x0)
     return np.where(top > -INF, mass, -INF)
 
 

@@ -145,12 +145,11 @@ def _test(
     law truncated to S at the observed statistic. The law is chi with
     the given sigma, or F with sigma None. A statistic outside S, beyond
     the relative rounding allowance of its endpoints, voids the test."""
-    part = trace.final_partition()
     if sigma is None:
-        path, law, df_den = unknown_path(req.data, part, bundle), "f", bundle.d_star
+        path, law, df_den = unknown_path(req.data, bundle), "f", bundle.d_star
     else:
         path, law, df_den = known_path(req.data, bundle, sigma), "chi", None
-    S = truncation_set(path, trace, (part, V) if req.account_selection else None)
+    S = truncation_set(path, trace, (bundle.part, V) if req.account_selection else None)
     if not interval_contains(S, path.psi_obs, tol=1e-9 * max(1.0, path.psi_obs)):
         raise NotAvailable("statistic_outside_set")
     spec = TruncatedDistSpec(law, bundle.d, df_den, S)
@@ -250,12 +249,10 @@ def test_bonferroni(req: TestRequest) -> PValueResult:
         p_value=min(1.0, len(V.pairs) * winner.p_value),
         method=Method.BONFERRONI,
         diagnostics={
-            **diag,
+            **winner.diagnostics,
             "pairs_tested": [list(pair) for pair in V.pairs],
             "winning_pair": list(V.pairs[best]),
             "pairwise_p_values": [r.p_value for r in results],
-            "iterations": trace.J,
-            "converged": trace.converged,
         },
     )
 

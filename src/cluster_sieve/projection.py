@@ -1,12 +1,13 @@
-"""Contrast vectors between cluster pairs and the projections built on them.
+"""The tested pairs' contrast span, and the parts of the data it splits off.
 
-A pair (k, k') of clusters defines a contrast vector whose inner
-products with the data columns give the difference of the two cluster
-centers. The span of the contrast vectors of all pairs under test
-carries the between-cluster signal; its orthogonal basis defines the
-projection used by every statistic, and two further projections split
-the remainder into within-cluster variation (over the clusters under
-test) and everything else.
+The contrast of clusters (k, k') is 1/|C_k| on the rows of k, -1/|C_k'|
+on those of k' and zero elsewhere. The tested pairs link clusters into
+connected components, and over the rows of a component C the span of
+their contrasts holds exactly the vectors constant on each cluster of C
+that sum to zero. So a row of a tested cluster k projects onto the span
+as mean_k - mean_C, its within-cluster part is the row less mean_k, both
+are zero for untested clusters, and the rank is the exact count
+(tested clusters) - (components).
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import ClusterPartition
+from .kmeans import cluster_sums
 
 if TYPE_CHECKING:
     from .selection import SelectionRule
@@ -54,93 +56,64 @@ class PairSet:
         """Sorted cluster indices appearing in some pair."""
         return tuple(sorted({k for pair in self.pairs for k in pair}))
 
-    def is_complete(self) -> bool:
-        return len(self.pairs) == self.K * (self.K - 1) // 2
-
 
 @dataclass(frozen=True)
 class ProjectionBundle:
-    """Orthonormal basis of the contrast span plus the derived counts.
+    """The contrast span of the tested pairs, as the partition and each
+    cluster's component in the graph of the pairs (-1 when untested),
+    with its rank r, the numerator degrees of freedom d = q * r, and the
+    within-cluster degrees of freedom d_star = q * (rows - number) of the
+    touched clusters."""
 
-    basis_E: n x r orthonormal matrix spanning the contrast span.
-    d = q * r is the numerator degrees of freedom. d_star counts the
-    within-cluster degrees of freedom over the touched clusters.
-    """
-
-    basis_E: np.ndarray
-    r: int
+    part: ClusterPartition
+    component: np.ndarray
     touched: tuple[int, ...]
+    r: int
     d: int
     d_star: int
     r_star: float
 
     def __post_init__(self):
-        b = np.asarray(self.basis_E, dtype=float).copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "basis_E", b)
-
-
-def contrast_vector(part: ClusterPartition, k: int, kp: int) -> np.ndarray:
-    """The n-vector with 1/|C_k| on cluster k, -1/|C_k'| on cluster k',
-    zero elsewhere. X^T v is the difference of the two cluster centers."""
-    if k == kp:
-        raise ValueError("a contrast needs two distinct clusters")
-    v = np.zeros(part.n)
-    v[part.labels == k] = 1.0 / part.sizes[k]
-    v[part.labels == kp] = -1.0 / part.sizes[kp]
-    return v
+        c = np.asarray(self.component, dtype=int).copy()
+        c.setflags(write=False)
+        object.__setattr__(self, "component", c)
 
 
 def build_projection(part: ClusterPartition, V: PairSet, q: int) -> ProjectionBundle:
-    """Orthonormal basis of span{v_(k,k') : (k,k') in V} and the counts
-    derived from it.
-
-    When V contains every pair, the chain contrasts v_(k,k+1) are a
-    basis of the span with rank exactly K-1, so they are orthonormalized
-    directly. Otherwise the rank comes from an SVD of the stacked
-    contrasts, dropping singular values below
-    max(n, |V|) * machine epsilon * (largest singular value).
-
-    When every touched cluster is a singleton, d* and r* are 0: the
-    chi test needs no within-cluster spread, and the F test refuses
-    such a bundle (unknown_path raises DegenerateWithin).
-    """
+    """The components of the graph of V's pairs and the counts of their
+    contrast span. When every touched cluster is a singleton, d* and r*
+    are 0: the chi test needs no within-cluster spread, and the F test
+    refuses such a bundle (unknown_path raises DegenerateWithin)."""
     if V.K != part.K:
         raise ValueError("pair set and partition disagree on K")
-    n = part.n
-    if V.is_complete():
-        chain = np.column_stack(
-            [contrast_vector(part, k, k + 1) for k in range(part.K - 1)]
-        )
-        basis, _ = np.linalg.qr(chain)
-        r = part.K - 1
-    else:
-        stacked = np.column_stack([contrast_vector(part, k, kp) for k, kp in V.pairs])
-        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-        cutoff = max(n, len(V.pairs)) * np.finfo(float).eps * s[0]
-        r = int(np.sum(s > cutoff))
-        basis = u[:, :r]
+    label = np.arange(part.K)
+    for k, kp in V.pairs:
+        # k's component absorbs kp's
+        label[label == label[kp]] = label[k]
     touched = V.touched
-    d = q * r
-    d_star = q * int(sum(part.sizes[k] for k in touched) - len(touched))
-    r_star = d_star / d
-    return ProjectionBundle(
-        basis_E=basis, r=r, touched=touched, d=d, d_star=d_star, r_star=r_star
-    )
+    idx = list(touched)
+    component = np.full(part.K, -1)
+    # number the components 0, 1, ... by their surviving labels
+    _, component[idx] = np.unique(label[idx], return_inverse=True)
+    r = len(touched) - (int(component.max()) + 1)
+    d_star = q * (int(part.sizes[idx].sum()) - len(touched))
+    return ProjectionBundle(part, component, touched, r, q * r, d_star, d_star / (q * r))
 
 
-def apply_PE(bundle: ProjectionBundle, A: np.ndarray) -> np.ndarray:
-    """Project the columns of A onto the contrast span."""
-    b = bundle.basis_E
-    return b @ (b.T @ A)
-
-
-def apply_P1(part: ClusterPartition, touched: tuple[int, ...], A: np.ndarray) -> np.ndarray:
-    """Within-cluster centering over the touched clusters: row i becomes
-    A_i minus its cluster mean if i's cluster is touched, else zero."""
-    out = np.zeros_like(A, dtype=float)
-    for k in touched:
-        rows = part.labels == k
-        out[rows] = A[rows] - A[rows].mean(axis=0)
-    return out
-
+def split(bundle: ProjectionBundle, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projection of the columns of A (n x q) onto the contrast span,
+    and their within-cluster centering over the touched clusters: row i
+    of cluster k becomes mean_k - mean_C and A_i - mean_k, C being k's
+    component, and is zero in both when k is untested."""
+    part, comp = bundle.part, bundle.component
+    tested = comp >= 0
+    sums = cluster_sums(A, part.labels, part.K)
+    means = np.where(tested[:, None], sums / part.sizes[:, None], 0.0)
+    comp_sums = cluster_sums(sums[tested], comp[tested], int(comp.max()) + 1)
+    comp_sizes = np.bincount(comp[tested], weights=part.sizes[tested])
+    grand = np.zeros_like(means)
+    grand[tested] = (comp_sums / comp_sizes[:, None])[comp[tested]]
+    row_tested = tested[part.labels][:, None]
+    between = (means - grand)[part.labels]
+    within = np.where(row_tested, A - means[part.labels], 0.0)
+    return between, within

@@ -37,7 +37,7 @@ from .core import (
     merge_pieces,
 )
 from .kmeans import KMeansTrace, step_centroids
-from .projection import PairSet, ProjectionBundle, apply_P1, apply_PE
+from .projection import PairSet, ProjectionBundle, split
 from .selection import SelectionRule, pair_center_diffs
 
 # Candidate quartic roots are accepted with deliberately loose tolerances:
@@ -351,23 +351,20 @@ class UnknownPath:
 def known_path(X: DataMatrix, bundle: ProjectionBundle, sigma: float) -> KnownPath:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    proj = apply_PE(bundle, X.values)
+    proj, _ = split(bundle, X.values)
     nrm = float(np.linalg.norm(proj))
     if nrm == 0.0:
         raise NotAvailable("the data has no component along the tested directions")
     return KnownPath(D=sigma * proj / nrm, E=X.values - proj, psi_obs=nrm / sigma)
 
 
-def unknown_path(
-    X: DataMatrix, part: ClusterPartition, bundle: ProjectionBundle
-) -> UnknownPath:
+def unknown_path(X: DataMatrix, bundle: ProjectionBundle) -> UnknownPath:
     if bundle.d_star == 0:
         raise DegenerateWithin(
             "every cluster under test is a singleton; no within-cluster "
             "spread is available"
         )
-    proj = apply_PE(bundle, X.values)
-    within = apply_P1(part, bundle.touched, X.values)
+    proj, within = split(bundle, X.values)
     npe = float(np.linalg.norm(proj))
     np1 = float(np.linalg.norm(within))
     if npe == 0.0:

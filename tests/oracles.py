@@ -7,7 +7,10 @@ the same quartic candidate set and midpoint sign scan for the radical
 form. `interval_intersect` is the scalar two-list sweep, and
 `fold_intersection` intersects their solutions pairwise with it: the
 reference for the batched sweep. `canonicalize` merges one interval at
-a time: the reference for core.merge_pieces.
+a time: the reference for core.merge_pieces. `contrast_basis` is an
+orthonormal basis of the tested pairs' contrast vectors, by SVD, and
+`reference_split` projects onto it: the reference for
+projection.split.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cluster_sieve.core import INF, MERGE_TOL, Interval, IntervalUnion
+from cluster_sieve.core import INF, MERGE_TOL, ClusterPartition, Interval, IntervalUnion
 from cluster_sieve.truncation import _IMAG_TOL, _RESIDUAL_TOL, _RESIDUAL_ULPS, _ROOT_COLLAPSE
 
 
@@ -300,3 +303,35 @@ def quad_rows_set(coef, strict=None) -> IntervalUnion:
 def radical_rows_set(lam, rs: float) -> IntervalUnion:
     """The intersection of solve_sqrt_leq over rows (l1, ..., l5) of lam."""
     return fold_intersection(solve_sqrt_leq(SqrtCoeffs(*row, r_star=rs)) for row in lam)
+
+
+def contrast_vector(part: ClusterPartition, k: int, kp: int) -> np.ndarray:
+    """The n-vector with 1/|C_k| on cluster k, -1/|C_k'| on cluster k',
+    zero elsewhere. X^T v is the difference of the two cluster centers."""
+    if k == kp:
+        raise ValueError("a contrast needs two distinct clusters")
+    v = np.zeros(part.n)
+    v[part.labels == k] = 1.0 / part.sizes[k]
+    v[part.labels == kp] = -1.0 / part.sizes[kp]
+    return v
+
+
+def contrast_basis(part: ClusterPartition, pairs) -> np.ndarray:
+    """An n x r orthonormal basis of span{v_(k,k') : (k,k') in pairs}: the
+    left singular vectors of the stacked contrasts whose singular values
+    exceed max(n, |pairs|) * machine epsilon * (largest singular value)."""
+    stacked = np.column_stack([contrast_vector(part, k, kp) for k, kp in pairs])
+    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+    cutoff = max(part.n, len(pairs)) * np.finfo(float).eps * s[0]
+    return u[:, : int(np.sum(s > cutoff))]
+
+
+def reference_split(part: ClusterPartition, pairs, A: np.ndarray):
+    """The projection of A onto the contrast span through its basis, and
+    A centered within each tested cluster (zero on the other rows)."""
+    basis = contrast_basis(part, pairs)
+    within = np.zeros_like(A, dtype=float)
+    for k in sorted({k for pair in pairs for k in pair}):
+        rows = part.labels == k
+        within[rows] = A[rows] - A[rows].mean(axis=0)
+    return basis @ (basis.T @ A), within

@@ -33,7 +33,7 @@ from cluster_sieve.distributions import (
 )
 from cluster_sieve import inference as inf
 from cluster_sieve.kmeans import KMeansConfig, replay_matches, run_kmeans
-from cluster_sieve.projection import PairSet, apply_P1, apply_PE, build_projection
+from cluster_sieve.projection import PairSet, build_projection, split
 from cluster_sieve.selection import SelectionRule, select_pairs
 from cluster_sieve.simulation import SimConfig, run_power, run_type1
 from cluster_sieve.truncation import known_path, truncation_set, unknown_path
@@ -127,7 +127,7 @@ def test_truncation_sets_match_replay_oracles():
             done["known"] += 1
         if done["unknown"] < 50:
             try:
-                path = unknown_path(X, part, bundle)
+                path = unknown_path(X, bundle)
             except NotAvailable:
                 continue
             S = truncation_set(path, trace)
@@ -159,7 +159,7 @@ def test_truncation_sets_match_replay_oracles():
             done["known_sel"] += 1
         if done["unknown_sel"] < 50:
             try:
-                path = unknown_path(X, part, bundle)
+                path = unknown_path(X, bundle)
             except NotAvailable:
                 continue
             S = truncation_set(path, trace, selection=(part, V))
@@ -430,8 +430,8 @@ def test_fixed_partition_null_laws():
     t_ratio = np.empty(2000)
     for i in range(2000):
         X = rng.standard_normal((n, q))
-        between = np.linalg.norm(apply_PE(bundle, X)) ** 2
-        within = np.linalg.norm(apply_P1(part, bundle.touched, X)) ** 2
+        between = np.linalg.norm(split(bundle, X)[0]) ** 2
+        within = np.linalg.norm(split(bundle, X)[1]) ** 2
         t_sq[i] = between
         t_ratio[i] = (between / d) / (within / d_star)
 

@@ -315,7 +315,7 @@ class TestAlwaysMetScreen:
         assert trace.J + 1 == 6
         part = trace.final_partition()
         V = select_pairs(X, part, SelectionRule.top_g(3))
-        path = unknown_path(X, part, build_projection(part, V, q))
+        path = unknown_path(X, build_projection(part, V, q))
         rs = path.r_star
         batches = [_unknown_rows(trace, path, j) for j in range(trace.J + 1)]
         batches.append(_selection_batch(path, part, V)[0])
@@ -406,7 +406,7 @@ class TestIntersectionAgainstFold:
         assume(built is not None)
         part, V, bundle = built
         try:
-            path = unknown_path(X, part, bundle)
+            path = unknown_path(X, bundle)
         except NotAvailable:
             assume(False)
         rs = path.r_star

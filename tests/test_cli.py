@@ -150,6 +150,15 @@ class TestTestCommand:
         j = run_cli("test", blob_csv, "--k", 2, "--sigma", 1)
         assert p == json.loads(j.stdout)["p_value"]
 
+    def test_byte_order_mark_is_ignored(self, blob_csv, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte order mark
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + blob_csv.read_bytes())
+        a = run_cli("test", bom, "--k", 2, "--sigma", 1)
+        b = run_cli("test", blob_csv, "--k", 2, "--sigma", 1)
+        assert a.returncode == 0, a.stderr
+        assert json.loads(a.stdout)["p_value"] == json.loads(b.stdout)["p_value"]
+
     def test_explicit_pairs_match_default_all(self, blob_csv):
         a = run_cli("test", blob_csv, "--k", 2, "--sigma", 1)
         b = run_cli("test", blob_csv, "--k", 2, "--sigma", 1, "--pairs", "1:2")

@@ -293,6 +293,19 @@ class TestExactTails:
         assert p == pytest.approx(mp_truncated_survival(kind, d1, d2, spec.support, t),
                                   rel=1e-10, abs=0)
 
+    # Pieces far out on the chi axis: -x^2/2 alone carries an absolute
+    # error of eps*x^2/2 there, which the ratio of two pieces would keep.
+    @pytest.mark.parametrize("pieces, t", [
+        (((1e4, 1e4 + 1e-5), (1e4 + 3e-5, 1e4 + 4e-5)), 1e4 + 3e-5),
+        (((1e5, 1e5 + 1e-6), (1e5 + 3e-6, 1e5 + 4e-6)), 1e5 + 3e-6),
+        (((1e4, 1e4 + 1e-3), (1e4 + 2e-3, math.inf)), 1e4 + 2e-3),
+    ])
+    def test_far_out_chi_pieces_keep_their_ratio(self, pieces, t):
+        S = U(*pieces)
+        got = truncated_survival(t, TruncatedDistSpec.chi(3, S))
+        assert got == pytest.approx(mp_truncated_survival("chi", 3, None, S, t),
+                                    rel=1e-10, abs=0)
+
     @staticmethod
     def _draw(rng, kind, d1, d2):
         """One to three pieces, each starting at a quantile of the law

@@ -203,6 +203,16 @@ class TestReductions:
         assert manual[[[0, 1], [0, 2], [1, 2]].index(win)] == min(manual)
         assert res.diagnostics["pairwise_p_values"] == pytest.approx(manual)
 
+    def test_bonferroni_diagnostics_are_the_winners(self):
+        X = gauss_data(5, 24, 2)
+        req = request(X, 3)
+        res = inf.test_bonferroni(req)
+        k, kp = res.diagnostics["winning_pair"]
+        win = inf.test_pairwise_known(req, k, kp)
+        assert res.diagnostics["eval_path"] == "log_exact"
+        for key in ("eval_path", "iterations", "converged"):
+            assert res.diagnostics[key] == win.diagnostics[key]
+
     def test_bonferroni_single_pair_is_pairwise(self):
         X = gauss_data(9, 18, 2)
         res = inf.test_bonferroni(request(X, 2, rule=SelectionRule.fixed([(0, 1)])))

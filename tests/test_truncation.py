@@ -16,7 +16,7 @@ from cluster_sieve.core import (
     interval_contains,
 )
 from cluster_sieve.kmeans import KMeansConfig, replay_matches, run_kmeans
-from cluster_sieve.projection import PairSet, apply_PE, build_projection
+from cluster_sieve.projection import PairSet, build_projection, split
 from cluster_sieve.selection import SelectionRule, select_pairs
 from cluster_sieve.truncation import known_path, truncation_set, unknown_path
 
@@ -154,14 +154,14 @@ class TestKnownPath:
         X, trace, part, bundle = self.setup_bundle(seed=3)
         sigma = 0.7
         path = known_path(X, bundle, sigma)
-        want = np.linalg.norm(apply_PE(bundle, X.values)) / sigma
+        want = np.linalg.norm(split(bundle, X.values)[0]) / sigma
         assert path.psi_obs == pytest.approx(want, rel=1e-12)
 
     def test_path_at_zero_removes_tested_component(self):
         X, trace, part, bundle = self.setup_bundle(seed=5)
         path = known_path(X, bundle, 1.0)
         np.testing.assert_allclose(
-            apply_PE(bundle, path.at(0.0)), 0.0, atol=1e-10
+            split(bundle, path.at(0.0))[0], 0.0, atol=1e-10
         )
 
     def test_sigma_must_be_positive(self):
@@ -175,15 +175,15 @@ class TestUnknownPath:
         X, trace = traced_instance(11, 21, 3, 3)
         part = trace.final_partition()
         bundle = build_projection(part, PairSet(((0, 1),), 3), 3)
-        path = unknown_path(X, part, bundle)
+        path = unknown_path(X, bundle)
         np.testing.assert_allclose(path.at(path.psi_obs), X.values, atol=1e-9)
 
     def test_statistic_is_the_variance_ratio(self):
         X, trace = traced_instance(2, 24, 2, 2)
         part = trace.final_partition()
         bundle = build_projection(part, PairSet(((0, 1),), 2), 2)
-        path = unknown_path(X, part, bundle)
-        num = np.linalg.norm(apply_PE(bundle, X.values)) ** 2 / bundle.d
+        path = unknown_path(X, bundle)
+        num = np.linalg.norm(split(bundle, X.values)[0]) ** 2 / bundle.d
         cent = X.values.copy()
         for k in range(2):
             mask = part.labels == k
@@ -278,7 +278,7 @@ class TestUnknownSigmaTruncation:
             X, trace = traced_instance(seed, 15, 2, 2)
             part = trace.final_partition()
             bundle = build_projection(part, PairSet(((0, 1),), 2), 2)
-            path = unknown_path(X, part, bundle)
+            path = unknown_path(X, bundle)
             S = truncation_set(path, trace)
             assert interval_contains(S, path.psi_obs, tol=1e-9)
             total += grid_against_replay(X, trace, S, path, n_grid=120)
@@ -331,7 +331,7 @@ class TestSelectionTruncation:
                 bundle = build_projection(part, V, 2)
             except Exception:
                 continue
-            path = unknown_path(X, part, bundle)
+            path = unknown_path(X, bundle)
             S_sel = truncation_set(path, selection=(part, V))
             assert interval_contains(S_sel, path.psi_obs, tol=1e-9)
             bad, checked = grid_selection_against_replay(
