@@ -39,7 +39,6 @@ from .inference import (
     sigma_hat_sample,
     test_bonferroni,
     test_known_sigma,
-    test_pairwise_known,
     test_unknown_sigma,
 )
 from .kmeans import KMeansConfig, KMeansTrace, run_kmeans
@@ -84,7 +83,6 @@ __all__ = [
     "sigma_hat_sample",
     "test_bonferroni",
     "test_known_sigma",
-    "test_pairwise_known",
     "test_unknown_sigma",
     "truncated_survival",
     "truncated_survival_info",

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import DataMatrix, IntervalUnion, PValueResult
+from .core import INF, DataMatrix, IntervalUnion, PValueResult
 from .inference import TestRequest, VarianceSpec, run_test
 from .kmeans import KMeansConfig
 from .selection import SelectionRule
@@ -250,30 +250,12 @@ def _jsonable(obj):
 
 
 def _truncation_json(S: IntervalUnion):
-    """Interval list with None standing for an unbounded upper end."""
+    """Interval list with None standing for an unbounded upper end. Every
+    piece is closed at its finite ends (see core.IntervalUnion)."""
     return [
-        {
-            "lo": iv.lo,
-            "hi": None if np.isinf(iv.hi) else iv.hi,
-            "lo_closed": iv.lo_closed,
-            "hi_closed": iv.hi_closed,
-        }
-        for iv in S.intervals
+        {"lo": lo, "hi": None if hi == INF else hi, "lo_closed": True, "hi_closed": hi < INF}
+        for lo, hi in zip(S.lo.tolist(), S.hi.tolist())
     ]
-
-
-def _truncation_text(S: IntervalUnion) -> str:
-    parts = []
-    for iv in S.intervals:
-        lo_b = "[" if iv.lo_closed else "("
-        hi_b = "]" if iv.hi_closed else ")"
-        hi = "inf" if np.isinf(iv.hi) else repr(iv.hi)
-        parts.append(f"{lo_b}{iv.lo!r},{hi}{hi_b}")
-    return ";".join(parts)
-
-
-def _pairs_text(pairs) -> str:
-    return ",".join(f"{k + 1}:{kp + 1}" for k, kp in pairs)
 
 
 def _result_payload(res: PValueResult, seed: int, restarts: int) -> dict:
@@ -315,11 +297,12 @@ _CSV_FIELDS = (
 )
 
 
-def _render_csv(res: PValueResult, payload: dict) -> str:
+def _render_csv(payload: dict) -> str:
+    """The payload as one CSV row: pairs as "k:k',...", the truncation set
+    as "[lo,hi];...;[lo,inf)"."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_CSV_FIELDS)
-    pairs = res.diagnostics.get("pairs_tested") or ()
     row = {
         "status": payload["status"],
         "method": payload["method"],
@@ -328,8 +311,11 @@ def _render_csv(res: PValueResult, payload: dict) -> str:
         "df_num": "" if payload["df_num"] is None else payload["df_num"],
         "df_den": "" if payload["df_den"] is None else payload["df_den"],
         "reason": payload["reason"] or "",
-        "pairs_tested": _pairs_text(pairs),
-        "truncation": _truncation_text(res.truncation),
+        "pairs_tested": ",".join(f"{k}:{kp}" for k, kp in payload["pairs_tested"] or ()),
+        "truncation": ";".join(
+            f"[{iv['lo']!r},{'inf)' if iv['hi'] is None else repr(iv['hi']) + ']'}"
+            for iv in payload["truncation"]
+        ),
     }
     w.writerow([row[f] for f in _CSV_FIELDS])
     return buf.getvalue()
@@ -404,7 +390,7 @@ def cmd_test(args, argv: list[str]) -> int:
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        text = _render_csv(shown, payload)
+        text = _render_csv(payload)
     sys.stdout.write(text)
 
     if args.out:

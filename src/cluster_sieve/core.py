@@ -1,23 +1,22 @@
 """Shared data types: data matrices, partitions, interval unions, results.
 
 Every truncation set in this package is a finite union of disjoint
-intervals on [0, inf). The interval algebra here is the foundation the
-truncation and distribution modules build on.
+closed intervals on [0, inf). The interval algebra here is the
+foundation the truncation and distribution modules build on.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 INF = float("inf")
 
-# Two intervals merge when the gap between them is below this threshold.
-# Root solvers return endpoints with finite precision, and open/closed
-# distinctions are measure-zero under continuous distributions.
+# Two intervals merge when the gap between them is below this threshold:
+# root solvers return endpoints with finite precision.
 MERGE_TOL = 1e-12
 
 
@@ -117,83 +116,64 @@ class ClusterPartition:
 
 @dataclass(frozen=True)
 class Interval:
-    """One interval on [0, inf]. Closedness matters for membership only;
-    probability computations ignore it."""
+    """One closed interval [lo, hi] on [0, inf]; with hi = inf it is
+    [lo, inf)."""
 
     lo: float
     hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
 
     def __post_init__(self):
         # Coerce to plain Python scalars so reprs, hashing, and JSON
         # serialization never depend on which numeric path built us.
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "lo_closed", bool(self.lo_closed))
-        object.__setattr__(self, "hi_closed", bool(self.hi_closed))
         if math.isnan(self.lo) or math.isnan(self.hi):
             raise ValueError("interval endpoints cannot be NaN")
         if self.lo < 0:
             raise ValueError(f"interval endpoints must be >= 0, got lo={self.lo}")
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if self.hi == INF and self.hi_closed:
-            # infinity is never attained; normalize so equal sets compare equal
-            object.__setattr__(self, "hi_closed", False)
-
-
-_TYPES = (("lo", float), ("hi", float), ("lo_closed", bool), ("hi_closed", bool))
-_FIELDS = tuple(f for f, _ in _TYPES)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class IntervalUnion:
-    """A finite union of disjoint intervals on [0, inf), held as four
-    aligned read-only arrays sorted by lo.
+    """A finite union of disjoint closed intervals on [0, inf), held as
+    two aligned read-only arrays sorted by lo.
 
-    Construction canonicalizes through merge_pieces, the one merge rule
-    of the package.
+    Every set is taken closed. The reference laws are continuous, so the
+    finitely many tie points by which a closed set differs from the
+    exact one carry no probability. Construction canonicalizes through
+    merge_pieces, the one merge rule of the package.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    lo_closed: np.ndarray
-    hi_closed: np.ndarray
 
     def __post_init__(self):
         # copies, so that no caller's array is frozen below
-        lo, hi, lc, hc = (np.array(getattr(self, f), dtype=t) for f, t in _TYPES)
+        lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
         if not ((lo >= 0.0).all() and (lo <= hi).all()):
             raise ValueError("interval endpoints must satisfy 0 <= lo <= hi")
-        for name, arr in zip(_FIELDS, merge_pieces(lo, hi, lc, hc)[1:]):
+        _, lo, hi = merge_pieces(lo, hi)
+        for name, arr in (("lo", lo), ("hi", hi)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
     def from_intervals(cls, intervals: Sequence[Interval]) -> "IntervalUnion":
-        return cls(*([getattr(iv, f) for iv in intervals] for f in _FIELDS))
+        return cls([iv.lo for iv in intervals], [iv.hi for iv in intervals])
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
-        return cls((), (), (), ())
+        return cls((), ())
 
     @classmethod
     def full(cls) -> "IntervalUnion":
-        return cls((0.0,), (INF,), (True,), (False,))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "IntervalUnion":
-        """Build from (lo, hi) pairs, clipping at 0 and dropping empty pieces."""
-        lo, hi = np.array(list(pairs), dtype=float).reshape(-1, 2).T
-        lo = np.maximum(lo, 0.0)
-        keep = hi >= lo
-        closed = np.ones(int(keep.sum()), dtype=bool)
-        return cls(lo[keep], hi[keep], closed, closed)
+        return cls((0.0,), (INF,))
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
-        return tuple(map(Interval, *(getattr(self, f).tolist() for f in _FIELDS)))
+        return tuple(map(Interval, self.lo.tolist(), self.hi.tolist()))
 
     @property
     def is_empty(self) -> bool:
@@ -207,70 +187,54 @@ class IntervalUnion:
         return iter(self.intervals)
 
     def __eq__(self, other):
-        return isinstance(other, IntervalUnion) and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in _FIELDS
+        return (
+            isinstance(other, IntervalUnion)
+            and np.array_equal(self.lo, other.lo)
+            and np.array_equal(self.hi, other.hi)
         )
 
     def __repr__(self):
         return f"IntervalUnion(intervals={self.intervals!r})"
 
 
-def merge_pieces(lo, hi, lo_closed, hi_closed, group=None):
-    """The one merge rule: the canonical form of interval pieces within
-    each group (one group by default), as arrays (group, lo, hi,
-    lo_closed, hi_closed). Pieces are sorted by (group, lo, closed starts
-    first, hi), each upper end is raised to the running maximum of its
-    group's (closed above open at a tie), and a piece joins the one
-    before when it starts within MERGE_TOL of that maximum, unless both
-    are open at one shared point: strict inequalities leave that point
-    removed around a root. An unbounded piece is open at infinity, and a
-    piece that holds no point is dropped first.
+def merge_pieces(lo, hi, group=None):
+    """The one merge rule: the canonical form of closed pieces [lo, hi]
+    within each group (one group by default), as arrays (group, lo, hi).
+    Pieces are sorted by (group, lo, hi), each upper end is raised to the
+    running maximum of its group, and a piece joins the one before when
+    it starts within MERGE_TOL of that maximum.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    lc = np.asarray(lo_closed, dtype=bool)
-    hc = np.asarray(hi_closed, dtype=bool) & (hi < INF)
     g = np.zeros(lo.size, dtype=int) if group is None else np.asarray(group)
-    # a piece with lo == hi holds its point only when both ends are closed
-    holds = (lo < hi) | (lc & hc)
-    if not holds.all():
-        g, lo, hi, lc, hc = (a[holds] for a in (g, lo, hi, lc, hc))
     if lo.size < 2:
-        return g, lo, hi, lc, hc
+        return g, lo, hi
     same = g[1:] == g[:-1]
-    # Solver and sweep output has both ends strictly ascending within a
-    # group, which makes the sort and the running maximum identities.
+    # Solver and sweep output has both ends rising within a group, which
+    # makes the sort and the running maximum identities.
     if not ((g[1:] > g[:-1]) | (same & (lo[1:] > lo[:-1]) & (hi[1:] > hi[:-1]))).all():
-        order = np.lexsort((hi, ~lc, lo, g))
-        g, lo, hi, lc, hc = (a[order] for a in (g, lo, hi, lc, hc))
+        order = np.lexsort((hi, lo, g))
+        g, lo, hi = g[order], lo[order], hi[order]
         same = g[1:] == g[:-1]
         # The running maximum by doubling: after the pass at k each upper
         # end is the largest of the 2k in its group up to it.
         k = 1
         while k < lo.size:
-            h0, h1 = hi[:-k], hi[k:]
-            up = (g[k:] == g[:-k]) & ((h0 > h1) | ((h0 == h1) & hc[:-k]))
-            hi = np.concatenate([hi[:k], np.where(up, h0, h1)])
-            hc = np.concatenate([hc[:k], np.where(up, hc[:-k], hc[k:])])
+            up = np.where(g[k:] == g[:-k], np.maximum(hi[:-k], hi[k:]), hi[k:])
+            hi = np.concatenate([hi[:k], up])
             k *= 2
-    apart = (lo[1:] > hi[:-1] + MERGE_TOL) | ((lo[1:] == hi[:-1]) & ~(hc[:-1] | lc[1:]))
-    new = np.concatenate(([True], ~same | apart))
+    new = np.concatenate(([True], ~same | (lo[1:] > hi[:-1] + MERGE_TOL)))
     first, last = np.flatnonzero(new), np.flatnonzero(np.concatenate((new[1:], [True])))
-    return g[first], lo[first], hi[last], lc[first], hc[last]
+    return g[first], lo[first], hi[last]
 
 
 def interval_contains(a: IntervalUnion, x: float, tol: float = 0.0) -> bool:
-    """Membership test honoring endpoint closedness.
-
-    A positive `tol` widens every interval by that amount, which is how
-    results assert that an observed statistic lies in its truncation set
-    despite finite-precision endpoints.
+    """Whether x lies in a, every piece widened by tol on both sides,
+    which is how results assert that an observed statistic lies in its
+    truncation set despite finite-precision endpoints.
     """
     if x < 0:
         raise ValueError("membership is defined on [0, inf) only")
-    if tol != 0.0:
-        return bool(((x >= a.lo - tol) & (x <= a.hi + tol)).any())
-    lo_ok = np.where(a.lo_closed, x >= a.lo, x > a.lo)
-    return bool((lo_ok & np.where(a.hi_closed, x <= a.hi, x < a.hi)).any())
+    return bool(((x >= a.lo - tol) & (x <= a.hi + tol)).any())
 
 
 class Method(Enum):
@@ -281,7 +245,6 @@ class Method(Enum):
     BONFERRONI = "Bonferroni"
     UNKNOWN_SIGMA = "UnknownSigma"
     UNKNOWN_SIGMA_SELECTED = "UnknownSigmaSelected"
-    PAIRWISE_KNOWN = "PairwiseKnown"
 
 
 @dataclass(frozen=True)

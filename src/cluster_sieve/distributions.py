@@ -184,16 +184,6 @@ def _log_survival(kind: str, d1: int, d2: int | None, t: float) -> float:
         return float(_log_tails(kind, d1, d2, np.array([float(t)]))[1][0])
 
 
-def log_chi_survival(t: float, d: int) -> float:
-    """log P(chi_d >= t), accurate far into the tail."""
-    return _log_survival("chi", d, None, t)
-
-
-def log_f_survival(t: float, d1: int, d2: int) -> float:
-    """log P(F_{d1,d2} >= t), accurate far into the tail."""
-    return _log_survival("f", d1, d2, t)
-
-
 @dataclass(frozen=True)
 class TruncatedDistSpec:
     """A reference law (chi_d or F_{d1,d2}) restricted to an interval

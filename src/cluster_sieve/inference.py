@@ -13,7 +13,7 @@ error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -208,14 +208,6 @@ def test_unknown_sigma(req: TestRequest) -> PValueResult:
     return _joint_test(req, Method.UNKNOWN_SIGMA, Method.UNKNOWN_SIGMA_SELECTED)
 
 
-def test_pairwise_known(req: TestRequest, k: int, kp: int) -> PValueResult:
-    """The single-pair test of mean equality between clusters k and kp,
-    conditioned on the clustering history: test_known_sigma with the
-    fixed pair list {(k, kp)}, tagged as a pairwise test."""
-    sub = replace(req, rule=SelectionRule.fixed([(k, kp)]), account_selection=False)
-    return replace(test_known_sigma(sub), method=Method.PAIRWISE_KNOWN)
-
-
 def test_bonferroni(req: TestRequest) -> PValueResult:
     """Bonferroni-adjusted minimum of the pairwise tests over a fixed
     pair list: min(1, |V| * min pairwise p).
@@ -235,7 +227,7 @@ def test_bonferroni(req: TestRequest) -> PValueResult:
         for pair in V.pairs:
             one = PairSet((pair,), part.K)
             bundle = build_projection(part, one, req.data.q)
-            res = _test(req, trace, one, bundle, sigma, Method.PAIRWISE_KNOWN, diag)
+            res = _test(req, trace, one, bundle, sigma, Method.KNOWN_SIGMA, diag)
             results.append(res)
     except NotAvailable as e:
         return PValueResult.not_available(Method.BONFERRONI, str(e))

@@ -18,6 +18,12 @@ exact closed-form screen drops the rows that hold on all of psi >= 0;
 one numpy solver per family turns every other row into interval pieces;
 and one sort-and-count sweep intersects those pieces with the running
 set.
+
+Every row is taken as <= 0 and every solution set as a union of closed
+intervals, also where the exact event excludes its boundary (a distance
+tie that K-means or the selection rule breaks one way). The closed set
+differs from the exact one by finitely many tie points, which carry no
+probability under the continuous reference laws.
 """
 from __future__ import annotations
 
@@ -74,27 +80,14 @@ _GRAM_ULPS = 4.0
 
 
 class _Pieces(NamedTuple):
-    """Intervals of many constraints at once: piece k belongs to the
-    solution set of constraint row[k]. Pieces are grouped by row and,
-    within a row, merged by core.merge_pieces: disjoint and ascending."""
+    """Closed intervals of many constraints at once: piece k is [lo[k],
+    hi[k]] of the solution set of constraint row[k]. Pieces are grouped
+    by row and, within a row, merged by core.merge_pieces: disjoint and
+    ascending."""
 
     row: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    lo_closed: np.ndarray
-    hi_closed: np.ndarray
-
-
-def _clip(lo, hi, lo_closed, hi_closed):
-    """Clip candidate intervals to [0, inf). A negative lower end moves
-    to 0, where it is attained whatever its strictness (0 is then
-    interior to the unclipped solution). Returns the new lower ends and
-    their closedness, and whether each clipped interval is non-empty."""
-    neg = lo < 0.0
-    lo = np.where(neg, 0.0, lo)
-    lo_closed = lo_closed | neg
-    ok = (hi > lo) | ((hi == lo) & lo_closed & hi_closed)
-    return lo, lo_closed, ok
 
 
 def _intersect(S: IntervalUnion, p: _Pieces, m: int) -> IntervalUnion:
@@ -103,42 +96,35 @@ def _intersect(S: IntervalUnion, p: _Pieces, m: int) -> IntervalUnion:
 
     One sweep: all endpoints are sorted, a running sum of +1 (start) and
     -1 (end) counts how many sets cover each stretch, and the stretches
-    covered by S and all constraints are kept. At a shared endpoint open
-    ends count first and open starts last, so a point that an open piece
-    leaves out stays out, and a point that closed pieces share stays in.
+    covered by S and all constraints are kept. At a shared endpoint
+    starts count before ends, so a point that the pieces share stays in.
     """
     if np.any(np.bincount(p.row, minlength=m) == 0):
         return IntervalUnion.empty()
-    full = (p.lo == 0.0) & p.lo_closed & (p.hi == INF)
+    full = (p.lo == 0.0) & (p.hi == INF)
     need = m - int(np.count_nonzero(full)) + 1
     if need == 1:
         return S
-    p = _Pieces(*(f[~full] for f in p))
-    lo = np.concatenate([S.lo, p.lo])
-    x = np.concatenate([lo, S.hi, p.hi])
-    kind = np.concatenate([
-        np.where(np.concatenate([S.lo_closed, p.lo_closed]), 1, 3),
-        np.where(np.concatenate([S.hi_closed, p.hi_closed]), 2, 0),
-    ])
-    order = np.lexsort((kind, x))
-    x, kind = x[order], kind[order]
-    k = np.flatnonzero(np.cumsum(np.repeat([1, -1], lo.size)[order]) == need)
-    return IntervalUnion(x[k], x[k + 1], kind[k] == 1, kind[k + 1] == 2)
+    lo = np.concatenate([S.lo, p.lo[~full]])
+    x = np.concatenate([lo, S.hi, p.hi[~full]])
+    end = np.repeat([0, 1], lo.size)
+    order = np.lexsort((end, x))
+    x = x[order]
+    k = np.flatnonzero(np.cumsum(1 - 2 * end[order]) == need)
+    return IntervalUnion(x[k], x[k + 1])
 
 
-def _solve_quad(coef: np.ndarray, strict: np.ndarray | None = None):
-    """{psi >= 0 : a*psi^2 + b*psi + c <= 0} (< 0 where strict) for every
-    row (a, b, c) of coef, as (pieces, row count).
+def _solve_quad(coef: np.ndarray):
+    """{psi >= 0 : a*psi^2 + b*psi + c <= 0} for every row (a, b, c) of
+    coef, as (pieces, row count).
 
     A row has at most two pieces, [lo1, hi1] and [lo2, inf). The
     degenerate cases: a = 0 falls back to the linear or constant
     inequality; a non-positive discriminant keeps or discards the whole
-    half-line by the sign of a, except that a double root is the one
-    point kept (a > 0, closed) or the one point removed (a < 0, strict).
+    half-line by the sign of a, except that a double root with a > 0 is
+    the one point kept.
     """
     a, b, c = coef[:, 0], coef[:, 1], coef[:, 2]
-    strict = np.zeros(a.size, dtype=bool) if strict is None else strict
-    closed = ~strict
     with np.errstate(divide="ignore", invalid="ignore"):
         root = -c / b
         disc = b * b - 4.0 * a * c
@@ -151,28 +137,23 @@ def _solve_quad(coef: np.ndarray, strict: np.ndarray | None = None):
         r1, r2 = qq / a, c / qq
     rlo, rhi = np.minimum(r1, r2), np.maximum(r1, r2)
     flat, up = a == 0.0, a > 0.0
-    const = flat & (b == 0.0)
     rise = flat & (b > 0.0)  # [0, root]
     fall = flat & (b < 0.0)  # [root, inf)
-    double = ~flat & (disc == 0.0) & (vertex >= 0.0)
-    pit = up & (disc <= 0.0)  # empty, or the double root when closed
-    point = pit & double & closed
-    notch = ~flat & ~up & double & strict  # [0, root) and (root, inf)
+    pit = up & (disc <= 0.0)  # empty, or the double root
+    point = pit & (disc == 0.0)
     two = ~flat & (disc > 0.0)
     cup = two & up  # [rlo, rhi]
     cap = two & ~up  # [0, rlo] and [rhi, inf)
     lo1 = np.select([fall, point, cup], [root, vertex, rlo], 0.0)
-    hi1 = np.select([rise, point | notch, cup, cap], [root, vertex, rhi, rlo], INF)
-    lc1 = ~((fall | cup) & strict)
-    hc1 = point | ((rise | cup | cap) & closed)
-    on1 = np.select([const, pit], [(c < 0.0) | ((c == 0.0) & closed), point], True)
+    hi1 = np.select([rise, point, cup, cap], [root, vertex, rhi, rlo], INF)
+    on1 = np.select([flat & (b == 0.0), pit], [c <= 0.0, point], True)
+    # A root below 0 moves to 0, and a piece then ending below 0 is
+    # empty; a piece starting at a root that overflowed holds no psi.
+    lo = np.maximum(np.column_stack([lo1, rhi]), 0.0)
     hi = np.column_stack([hi1, np.full(a.size, INF)])
-    hc = np.column_stack([hc1, np.zeros(a.size, dtype=bool)])
-    lo = np.column_stack([lo1, np.where(notch, vertex, rhi)])
-    lo, lc, ok = _clip(lo, hi, np.column_stack([lc1, closed & ~notch]), hc)
-    ok &= np.column_stack([on1, notch | cap])
+    ok = np.column_stack([on1, cap]) & (hi >= lo) & (lo < INF)
     rows = np.broadcast_to(np.arange(a.size)[:, None], ok.shape)
-    return _Pieces(*merge_pieces(lo[ok], hi[ok], lc[ok], hc[ok], rows[ok])), a.size
+    return _Pieces(*merge_pieces(lo[ok], hi[ok], rows[ok])), a.size
 
 
 def _poly_roots(P: np.ndarray) -> np.ndarray:
@@ -201,7 +182,7 @@ def _poly_roots(P: np.ndarray) -> np.ndarray:
 
 def _solve_radical(lam: np.ndarray, rs: float):
     """{psi >= 0 : g(psi) <= 0} for every row (l1, ..., l5) of lam, g the
-    radical form with the given r*, as (closed pieces, row count).
+    radical form with the given r*, as (pieces, row count).
 
     Substituting y = sqrt(psi) and squaring the balanced equation
     (l3*y + l4)*sqrt(y^2 + r*) = -(l1*y^2 + l2*y + l5) turns the
@@ -256,11 +237,11 @@ def _solve_radical(lam: np.ndarray, rs: float):
         probe = np.where(bounded, 0.5 * (ys + nxt), ys + 1.0)
         rt = np.sqrt(probe * probe + rs)
         g = l1 * probe * probe + l2 * probe + l3 * probe * rt + l4 * rt + l5
-        inside = (t < count) & (g <= 0.0)
-        hi = np.where(bounded, nxt * nxt, INF)
+        lo, hi = ys * ys, np.where(bounded, nxt * nxt, INF)
+        # a piece starting where psi = y^2 overflows holds no psi
+        inside = (t < count) & (g <= 0.0) & (lo < INF)
     rows = np.broadcast_to(np.arange(m)[:, None], ys.shape)[inside]
-    closed = np.ones(rows.size, dtype=bool)
-    return _Pieces(*merge_pieces((ys * ys)[inside], hi[inside], closed, closed, rows)), m
+    return _Pieces(*merge_pieces(lo[inside], hi[inside], rows)), m
 
 
 def _never_positive(a, b, c) -> np.ndarray:
@@ -385,18 +366,17 @@ def unknown_path(X: DataMatrix, bundle: ProjectionBundle) -> UnknownPath:
 
 def _intersect_batches(batches, solve, met) -> IntervalUnion:
     """The intersection of the solution sets of every row of every batch,
-    a batch being a tuple of row-aligned arrays that solve(*arrays) turns
-    into (pieces, row count). Batches (one per Lloyd step, one for the
-    selection event) are built and solved one at a time against the
-    running set, stopping once it is empty. Rows that met(first array)
-    proves satisfied on all of psi >= 0 cannot bind the set and are
-    never solved."""
+    a batch being one coefficient array that solve turns into (pieces,
+    row count). Batches (one per Lloyd step, one for the selection
+    event) are built and solved one at a time against the running set,
+    stopping once it is empty. Rows that met proves satisfied on all of
+    psi >= 0 cannot bind the set and are never solved."""
     S = IntervalUnion.full()
     for rows in batches:
-        live = ~met(rows[0])
+        live = ~met(rows)
         if not live.any():
             continue
-        S = _intersect(S, *solve(*(r[live] for r in rows)))
+        S = _intersect(S, *solve(rows[live]))
         if S.is_empty:
             break
     return S
@@ -493,29 +473,26 @@ def _pair_grams(mats, part: ClusterPartition, terms):
 
 
 def _selection_rows(rule: SelectionRule, V: PairSet, pairs, coef: np.ndarray, gamma):
-    """The selection event as rows of coef's form, each <= 0 (< 0 where
-    strict): coef[p] is the form of pair p's squared center distance and
-    gamma that of the squared threshold (None for rank rules).
+    """The selection event as rows of coef's form, each <= 0: coef[p] is
+    the form of pair p's squared center distance and gamma that of the
+    squared threshold (None for rank rules).
 
-    Rank rules pin every selected pair strictly ahead of every
-    unselected one; threshold rules pin each pair to its own side of the
-    threshold, strictly for the unselected ones.
+    Rank rules pin every selected pair ahead of every unselected one;
+    threshold rules pin each pair to its own side of the threshold.
     """
     selected = np.array([p in V.pairs for p in pairs])
     sel, uns = coef[selected], coef[~selected]
     if rule.kind in ("top", "bottom"):
-        # top: every unselected pair strictly closer than every selected one
+        # top: every unselected pair closer than every selected one
         rows = (uns[None, :, :] - sel[:, None, :]).reshape(-1, coef.shape[1])
-        return (rows if rule.kind == "top" else -rows), np.ones(len(rows), dtype=bool)
+        return rows if rule.kind == "top" else -rows
     rows = np.vstack([sel - gamma, gamma - uns])
-    if rule.kind == "above":
-        rows = -rows
-    return rows, np.arange(len(rows)) >= len(sel)
+    return -rows if rule.kind == "above" else rows
 
 
 def _selection_batch(path, part: ClusterPartition, V: PairSet):
     """The selection event V on partition part as one batch of the path's
-    family: (quadratic rows, strict flags) or (radical rows,)."""
+    family: quadratic or radical rows."""
     rule = V.rule
     if isinstance(path, KnownPath):
         pairs, grams = _pair_grams((path.D, path.E), part, _QUAD_TERMS)
@@ -532,9 +509,8 @@ def _selection_batch(path, part: ClusterPartition, V: PairSet):
     if rule.threshold is not None:
         t2 = rule.threshold**2
         gamma = np.array([t2 / path.total_sq, 0.0, 0.0, 0.0, rs * t2 / path.total_sq])
-    # Ties have probability zero; the radical family keeps them (closed).
-    rows, _ = _selection_rows(rule, V, pairs, _radical_rows(*grams, rs), gamma)
-    return (_clean_radical(rows, rs),)
+    rows = _selection_rows(rule, V, pairs, _radical_rows(*grams, rs), gamma)
+    return _clean_radical(rows, rs)
 
 
 def truncation_set(
@@ -571,7 +547,7 @@ def truncation_set(
     def batches():
         if trace is not None:
             for j in range(trace.J + 1):
-                yield (step_rows(trace, path, j),)
+                yield step_rows(trace, path, j)
         if selection is not None:
             yield _selection_batch(path, *selection)
 

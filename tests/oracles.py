@@ -65,51 +65,36 @@ class SqrtCoeffs:
         )
 
 
-def _interval(lo: float, hi: float, lo_closed: bool = True, hi_closed: bool = True):
-    if lo < 0.0:
-        # 0 is then interior to the unclipped solution, so the clipped
-        # endpoint is attained regardless of strictness.
-        lo, lo_closed = 0.0, True
-    if hi < lo or (hi == lo and not (lo_closed and hi_closed)):
+def _interval(lo: float, hi: float):
+    """[max(lo, 0), hi], or None when that holds no psi in [0, inf)."""
+    lo = max(lo, 0.0)
+    if hi < lo or lo == INF:
         return None
-    return Interval(lo, hi, lo_closed, hi_closed if hi < INF else False)
+    return Interval(lo, hi)
 
 
-def solve_quad_leq(c: QuadCoeffs, strict: bool = False) -> IntervalUnion:
-    """{psi >= 0 : a*psi^2 + b*psi + c <= 0} (or < 0 when strict).
+def solve_quad_leq(c: QuadCoeffs) -> IntervalUnion:
+    """{psi >= 0 : a*psi^2 + b*psi + c <= 0}.
 
     All degenerate cases are handled: a zero leading coefficient falls
     back to the linear or constant inequality, and a non-positive
     discriminant keeps or discards the whole half-line by the sign of a.
     """
     a, b, cc = c.a, c.b, c.c
-    closed = not strict
     if a == 0.0:
         if b == 0.0:
-            ok = cc < 0.0 or (cc == 0.0 and closed)
-            return IntervalUnion.full() if ok else IntervalUnion.empty()
+            return IntervalUnion.full() if cc <= 0.0 else IntervalUnion.empty()
         root = -cc / b
-        if b > 0.0:
-            iv = _interval(0.0, root, True, closed)
-            return IntervalUnion.from_intervals((iv,) if iv else ())
-        iv = _interval(root, INF, closed, False)
-        return IntervalUnion.from_intervals((iv,))
+        iv = _interval(0.0, root) if b > 0.0 else _interval(root, INF)
+        return IntervalUnion.from_intervals((iv,) if iv else ())
     disc = b * b - 4.0 * a * cc
     if disc <= 0.0:
         if a > 0.0:
-            if disc == 0.0 and closed:
+            if disc == 0.0:
                 root = -b / (2.0 * a)
                 if root >= 0.0:
                     return IntervalUnion.from_intervals((Interval(root, root),))
             return IntervalUnion.empty()
-        if disc == 0.0 and strict:
-            root = -b / (2.0 * a)
-            if root > 0.0:
-                return IntervalUnion.from_intervals(
-                    (Interval(0.0, root, True, False), Interval(root, INF, False, False))
-                )
-            if root == 0.0:
-                return IntervalUnion.from_intervals((Interval(0.0, INF, False, False),))
         return IntervalUnion.full()
     # Two real roots; the classical formula cancels when b^2 >> 4ac, so
     # derive one root from the stable intermediate q and the other from
@@ -119,17 +104,8 @@ def solve_quad_leq(c: QuadCoeffs, strict: bool = False) -> IntervalUnion:
     r1 = qq / a
     r2 = cc / qq
     lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
-    if a > 0.0:
-        iv = _interval(lo, hi, closed, closed)
-        return IntervalUnion.from_intervals((iv,) if iv else ())
-    pieces = []
-    left = _interval(0.0, lo, True, closed)
-    if left:
-        pieces.append(left)
-    right = _interval(hi, INF, closed, False)
-    if right:
-        pieces.append(right)
-    return IntervalUnion.from_intervals(tuple(pieces))
+    pieces = (_interval(lo, hi),) if a > 0.0 else (_interval(0.0, lo), _interval(hi, INF))
+    return IntervalUnion.from_intervals(tuple(iv for iv in pieces if iv))
 
 
 def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
@@ -207,47 +183,27 @@ def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
     pieces = []
     for lo, hi in zip(dedup, dedup[1:]):
         if g_of_y(0.5 * (lo + hi)) <= 0.0:
-            pieces.append(Interval(lo * lo, hi * hi))
+            pieces.append(_interval(lo * lo, hi * hi))
     if g_of_y(dedup[-1] + 1.0) <= 0.0:
-        pieces.append(Interval(dedup[-1] ** 2, INF))
-    return IntervalUnion.from_intervals(tuple(pieces))
+        pieces.append(_interval(dedup[-1] ** 2, INF))
+    return IntervalUnion.from_intervals(tuple(iv for iv in pieces if iv))
 
 
 def canonicalize(intervals) -> tuple[Interval, ...]:
-    """The merge rule of IntervalUnion, one interval at a time: sorted by
-    lower end with closed starts first, each interval joins the last
-    merged one when it starts within MERGE_TOL of its upper end, unless
-    both are open at one shared point. A piece that holds no point, lo ==
-    hi with an open end, is dropped first."""
-    ivs = [iv for iv in intervals if iv.lo < iv.hi or (iv.lo_closed and iv.hi_closed)]
-    if not ivs:
-        return ()
-    ivs = sorted(ivs, key=lambda iv: (iv.lo, not iv.lo_closed, iv.hi))
-    merged = [ivs[0]]
-    for iv in ivs[1:]:
-        last = merged[-1]
-        # Exact contact with both sides open leaves a removed point, as
-        # the strict solvers produce around roots; never merge across it.
-        point_gap = (
-            iv.lo == last.hi and not last.hi_closed and not iv.lo_closed
-        )
-        if iv.lo <= last.hi + MERGE_TOL and not point_gap:
-            # Overlap or near-contact: merge, keeping the outer closedness.
-            if iv.hi > last.hi:
-                hi, hic = iv.hi, iv.hi_closed
-            elif iv.hi == last.hi:
-                hi, hic = last.hi, last.hi_closed or iv.hi_closed
-            else:
-                hi, hic = last.hi, last.hi_closed
-            loc = last.lo_closed or (iv.lo == last.lo and iv.lo_closed)
-            merged[-1] = Interval(last.lo, hi, loc, hic)
+    """The merge rule of IntervalUnion, one closed interval at a time:
+    sorted by (lo, hi), each interval joins the last merged one when it
+    starts within MERGE_TOL of its upper end."""
+    merged: list[Interval] = []
+    for iv in sorted(intervals, key=lambda iv: (iv.lo, iv.hi)):
+        if merged and iv.lo <= merged[-1].hi + MERGE_TOL:
+            merged[-1] = Interval(merged[-1].lo, max(merged[-1].hi, iv.hi))
         else:
             merged.append(iv)
     return tuple(merged)
 
 
 def interval_intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
-    """Intersection of two interval unions.
+    """Intersection of two unions of closed intervals.
 
     Linear sweep over the two sorted interval lists.
     """
@@ -258,28 +214,13 @@ def interval_intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
         x, y = xs[ai], ys[bi]
         lo = max(x.lo, y.lo)
         hi = min(x.hi, y.hi)
-        if lo < hi or (lo == hi and _closed_at(x, lo) and _closed_at(y, lo)):
-            lo_closed = _closed_at(x, lo) and _closed_at(y, lo)
-            hi_closed = _closed_hi_at(x, hi) and _closed_hi_at(y, hi)
-            out.append(Interval(lo, hi, lo_closed, hi_closed))
+        if lo <= hi:
+            out.append(Interval(lo, hi))
         if x.hi <= y.hi:
             ai += 1
         else:
             bi += 1
     return IntervalUnion.from_intervals(tuple(out))
-
-
-def _closed_at(iv: Interval, point: float) -> bool:
-    # Closedness of iv at `point` approached as a lower endpoint.
-    if point == iv.lo:
-        return iv.lo_closed
-    return True
-
-
-def _closed_hi_at(iv: Interval, point: float) -> bool:
-    if point == iv.hi:
-        return iv.hi_closed
-    return True
 
 
 def fold_intersection(sets, S: IntervalUnion | None = None) -> IntervalUnion:
@@ -292,12 +233,9 @@ def fold_intersection(sets, S: IntervalUnion | None = None) -> IntervalUnion:
     return S
 
 
-def quad_rows_set(coef, strict=None) -> IntervalUnion:
+def quad_rows_set(coef) -> IntervalUnion:
     """The intersection of solve_quad_leq over rows (a, b, c) of coef."""
-    strict = np.zeros(len(coef), dtype=bool) if strict is None else strict
-    return fold_intersection(
-        solve_quad_leq(QuadCoeffs(*row), strict=bool(s)) for row, s in zip(coef, strict)
-    )
+    return fold_intersection(solve_quad_leq(QuadCoeffs(*row)) for row in coef)
 
 
 def radical_rows_set(lam, rs: float) -> IntervalUnion:

@@ -174,8 +174,9 @@ def test_truncation_sets_match_replay_oracles():
 
 
 def test_single_pair_reductions_are_exact():
-    """A one-pair joint test must collapse to the dedicated pairwise
-    test, and the one-pair F statistic must equal its closed form."""
+    """A one-pair joint test must equal that pair's test within the
+    Bonferroni baseline, and the one-pair F statistic must equal its
+    closed form."""
     shapes = [(16, 1, 2), (20, 2, 2), (24, 2, 3), (30, 3, 3)]
     done = 0
     seed = 0
@@ -197,20 +198,21 @@ def test_single_pair_reductions_are_exact():
                 variance=inf.VarianceSpec.known(1.0),
             )
         )
-        pairwise = inf.test_pairwise_known(
+        bonf = inf.test_bonferroni(
             inf.TestRequest(
                 data=X,
                 kmeans_cfg=cfg,
                 rule=SelectionRule.fixed_all(K),
                 variance=inf.VarianceSpec.known(1.0),
-            ),
-            k,
-            kp,
+            )
         )
-        if joint.degenerate or pairwise.degenerate:
+        if joint.degenerate or bonf.degenerate:
             continue
-        assert abs(joint.p_value - pairwise.p_value) <= 1e-10
-        assert abs(joint.statistic - pairwise.statistic) <= 1e-10
+        pairs = [tuple(pair) for pair in bonf.diagnostics["pairs_tested"]]
+        pairwise_p = bonf.diagnostics["pairwise_p_values"][pairs.index((k, kp))]
+        assert abs(joint.p_value - pairwise_p) <= 1e-10
+        if tuple(bonf.diagnostics["winning_pair"]) == (k, kp):
+            assert abs(joint.statistic - bonf.statistic) <= 1e-10
 
         res = inf.test_unknown_sigma(
             inf.TestRequest(
@@ -394,9 +396,8 @@ def test_distribution_numerics_against_quadrature():
     from cluster_sieve.core import IntervalUnion
 
     chi_cases = [
-        (3, IntervalUnion.from_pairs([(1, 2), (3, 6), (8, math.inf)]),
-         (1.5, 3.5, 9.0)),
-        (7, IntervalUnion.from_pairs([(2, 4), (5, math.inf)]), (2.5, 5.5)),
+        (3, IntervalUnion([1, 3, 8], [2, 6, math.inf]), (1.5, 3.5, 9.0)),
+        (7, IntervalUnion([2, 5], [4, math.inf]), (2.5, 5.5)),
     ]
     for d, S, ts in chi_cases:
         for t in ts:
@@ -404,9 +405,8 @@ def test_distribution_numerics_against_quadrature():
             want = _mp_truncated_survival(_mp_chi_pdf(d), S, t)
             assert abs(got - want) <= 1e-10, f"chi d={d} t={t}"
     f_cases = [
-        (2, 10, IntervalUnion.from_pairs([(0.5, 1.5), (2, 4)]), (1.0, 2.5)),
-        (5, 40, IntervalUnion.from_pairs([(0.1, 0.8), (1.2, 3), (4, math.inf)]),
-         (0.5, 1.5)),
+        (2, 10, IntervalUnion([0.5, 2], [1.5, 4]), (1.0, 2.5)),
+        (5, 40, IntervalUnion([0.1, 1.2, 4], [0.8, 3, math.inf]), (0.5, 1.5)),
     ]
     for d1, d2, S, ts in f_cases:
         for t in ts:

@@ -21,7 +21,7 @@ from oracles import canonicalize, interval_intersect
 
 
 def U(*pairs):
-    return IntervalUnion.from_pairs(pairs)
+    return IntervalUnion(*zip(*pairs))
 
 
 class TestInterval:
@@ -33,14 +33,9 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
 
-    def test_infinite_upper_end_is_open(self):
-        iv = Interval(1.0, INF, True, True)
-        assert iv.hi_closed is False
-
     def test_endpoints_coerced_to_python_scalars(self):
-        iv = Interval(np.float64(1.0), np.float64(2.0), np.bool_(True), np.bool_(False))
+        iv = Interval(np.float64(1.0), np.float64(2.0))
         assert type(iv.lo) is float and type(iv.hi) is float
-        assert type(iv.lo_closed) is bool and type(iv.hi_closed) is bool
 
 
 class TestIntervalUnion:
@@ -49,13 +44,9 @@ class TestIntervalUnion:
         assert [(iv.lo, iv.hi) for iv in u.intervals] == [(0.0, 2.0), (3.0, 5.0)]
 
     def test_touching_closed_endpoints_merge(self):
-        u = IntervalUnion.from_intervals((Interval(0, 1, True, True), Interval(1, 2, False, True)))
+        u = IntervalUnion.from_intervals((Interval(0, 1), Interval(1, 2)))
         assert len(u.intervals) == 1
         assert (u.intervals[0].lo, u.intervals[0].hi) == (0.0, 2.0)
-
-    def test_open_gap_does_not_merge(self):
-        u = IntervalUnion.from_intervals((Interval(0, 1, True, False), Interval(1, 2, False, True)))
-        assert len(u.intervals) == 2
 
     def test_empty_and_full(self):
         assert IntervalUnion.empty().intervals == ()
@@ -69,19 +60,6 @@ class TestIntervalUnion:
 
     def test_intersect_with_empty_is_empty(self):
         assert interval_intersect(U((0, 2)), IntervalUnion.empty()).intervals == ()
-
-    def test_intersect_preserves_openness(self):
-        a = IntervalUnion.from_intervals((Interval(0, 2, True, False),))
-        b = IntervalUnion.from_intervals((Interval(1, 2, True, True),))
-        got = interval_intersect(a, b)
-        assert got.intervals[0].hi == 2.0 and got.intervals[0].hi_closed is False
-
-    def test_contains_respects_closedness(self):
-        u = IntervalUnion.from_intervals((Interval(1, 2, False, True),))
-        assert not interval_contains(u, 1.0)
-        assert interval_contains(u, 2.0)
-        assert interval_contains(u, 1.5)
-        assert not interval_contains(u, 2.5)
 
     def test_contains_tolerance(self):
         u = U((1.0, 2.0))
@@ -110,13 +88,12 @@ ENDS = (0.0, 0.4 * MERGE_TOL, 1.0, 1.0 + 0.5 * MERGE_TOL, 1.0 + 1.5 * MERGE_TOL,
 
 @st.composite
 def grouped_piece(draw):
-    """(group, interval): nested, tied and point pieces, open or closed;
-    a third of the draws are points, most of which hold no point."""
+    """(group, interval): nested, tied and point pieces; a third of the
+    draws are points."""
     i = draw(st.integers(0, len(ENDS) - 2))
     point = draw(st.integers(0, 2)) == 0
     j = i if point else draw(st.integers(i, len(ENDS) - 1))
-    iv = Interval(ENDS[i], ENDS[j], draw(st.booleans()), draw(st.booleans()))
-    return draw(st.integers(0, 2)), iv
+    return draw(st.integers(0, 2)), Interval(ENDS[i], ENDS[j])
 
 
 class TestMergeRule:
@@ -127,32 +104,21 @@ class TestMergeRule:
         assert IntervalUnion.from_intervals(ivs).intervals == canonicalize(ivs)
         # per group, as the solvers merge the pieces of each row
         group = np.array([g for g, _ in drawn], dtype=int)
-        fields = [np.array([getattr(iv, f) for iv in ivs], dtype=t)
-                  for f, t in (("lo", float), ("hi", float),
-                               ("lo_closed", bool), ("hi_closed", bool))]
-        g, *merged = merge_pieces(*fields, group)
-        got = list(zip(g.tolist(), map(Interval, *(f.tolist() for f in merged))))
+        lo = np.array([iv.lo for iv in ivs], dtype=float)
+        hi = np.array([iv.hi for iv in ivs], dtype=float)
+        g, lo, hi = merge_pieces(lo, hi, group)
+        got = list(zip(g.tolist(), map(Interval, lo.tolist(), hi.tolist())))
         want = [(k, iv) for k in sorted(set(group.tolist()))
                 for iv in canonicalize([iv for gk, iv in drawn if gk == k])]
         assert got == want
 
-    def test_open_start_at_a_shared_lower_end_still_merges(self):
-        u = IntervalUnion.from_intervals((
-            Interval(0, 1, True, False), Interval(1, 2, False, False), Interval(1, 3, True, False),
-        ))
-        assert u == IntervalUnion.from_intervals((Interval(0, 3, True, False),))
-
-    def test_a_piece_without_a_point_is_dropped(self):
-        u = IntervalUnion.from_intervals((Interval(1, 1, False, False),))
-        assert u.is_empty and u == IntervalUnion.empty()
-        joined = IntervalUnion.from_intervals((
-            Interval(1, 1, False, False), Interval(1, 3, False, True),
-        ))
-        assert joined == IntervalUnion.from_intervals((Interval(1, 3, False, True),))
+    def test_pieces_sharing_a_lower_end_merge(self):
+        u = IntervalUnion.from_intervals((Interval(0, 1), Interval(1, 2), Interval(1, 3)))
+        assert u == IntervalUnion.from_intervals((Interval(0, 3),))
 
     def test_arrays_are_read_only_copies(self):
         lo = np.array([1.0, 0.0])
-        u = IntervalUnion(lo, np.array([2.0, 0.5]), np.ones(2, bool), np.ones(2, bool))
+        u = IntervalUnion(lo, np.array([2.0, 0.5]))
         assert lo.flags.writeable and not u.lo.flags.writeable
         assert u.lo.tolist() == [0.0, 1.0]
 
@@ -164,7 +130,6 @@ class TestPValueResult:
         assert Method.BONFERRONI.value == "Bonferroni"
         assert Method.UNKNOWN_SIGMA.value == "UnknownSigma"
         assert Method.UNKNOWN_SIGMA_SELECTED.value == "UnknownSigmaSelected"
-        assert Method.PAIRWISE_KNOWN.value == "PairwiseKnown"
 
     def test_not_available_shape(self):
         res = PValueResult.not_available(Method.KNOWN_SIGMA, "because")

@@ -32,6 +32,11 @@ def request(
     )
 
 
+def pairwise(req, k, kp):
+    """The known-sigma test of the one fixed pair (k, kp)."""
+    return inf.test_known_sigma(replace(req, rule=SelectionRule.fixed([(k, kp)])))
+
+
 def singleton_request(rule, variance):
     """Clusters 0 and 1 are the far outliers in rows 0 and 1, alone."""
     x = np.random.default_rng(0).normal(size=(20, 2))
@@ -176,8 +181,11 @@ class TestReductions:
         X = gauss_data(4, 20, 2)
         req = request(X, 3, rule=SelectionRule.fixed([(0, 2)]))
         joint = inf.test_known_sigma(req)
-        pair = inf.test_pairwise_known(request(X, 3), 0, 2)
-        assert pair.method is Method.PAIRWISE_KNOWN
+        pair = pairwise(request(X, 3), 0, 2)
+        assert pair.method is Method.KNOWN_SIGMA
+        assert inf.test_bonferroni(request(X, 3)).diagnostics["pairwise_p_values"][1] == (
+            joint.p_value
+        )
         assert pair.statistic == joint.statistic
         assert pair.p_value == joint.p_value
         assert pair.df_num == joint.df_num
@@ -185,8 +193,8 @@ class TestReductions:
 
     def test_pairwise_order_does_not_matter(self):
         X = gauss_data(6, 20, 2)
-        a = inf.test_pairwise_known(request(X, 3), 2, 0)
-        b = inf.test_pairwise_known(request(X, 3), 0, 2)
+        a = pairwise(request(X, 3), 2, 0)
+        b = pairwise(request(X, 3), 0, 2)
         assert a.p_value == b.p_value
 
     def test_bonferroni_matches_manual_combination(self):
@@ -194,7 +202,7 @@ class TestReductions:
         req = request(X, 3)
         res = inf.test_bonferroni(req)
         manual = [
-            inf.test_pairwise_known(req, k, kp).p_value
+            pairwise(req, k, kp).p_value
             for (k, kp) in [(0, 1), (0, 2), (1, 2)]
         ]
         assert res.method is Method.BONFERRONI
@@ -208,7 +216,7 @@ class TestReductions:
         req = request(X, 3)
         res = inf.test_bonferroni(req)
         k, kp = res.diagnostics["winning_pair"]
-        win = inf.test_pairwise_known(req, k, kp)
+        win = pairwise(req, k, kp)
         assert res.diagnostics["eval_path"] == "log_exact"
         for key in ("eval_path", "iterations", "converged"):
             assert res.diagnostics[key] == win.diagnostics[key]
@@ -216,7 +224,7 @@ class TestReductions:
     def test_bonferroni_single_pair_is_pairwise(self):
         X = gauss_data(9, 18, 2)
         res = inf.test_bonferroni(request(X, 2, rule=SelectionRule.fixed([(0, 1)])))
-        pair = inf.test_pairwise_known(request(X, 2), 0, 1)
+        pair = pairwise(request(X, 2), 0, 1)
         assert res.p_value == pair.p_value
 
     def test_bonferroni_pair_of_singletons_has_a_pvalue(self):
@@ -341,7 +349,7 @@ class TestStatisticInItsSet:
     @pytest.mark.parametrize("variance", [inf.VarianceSpec.known(1.0), inf.VarianceSpec.unknown()])
     def test_statistic_outside_the_set_is_na(self, monkeypatch, variance):
         def beyond(path, trace=None, selection=None):
-            return IntervalUnion.from_pairs([(2.0 * path.psi_obs + 1.0, INF)])
+            return IntervalUnion([2.0 * path.psi_obs + 1.0], [INF])
 
         monkeypatch.setattr(inf, "truncation_set", beyond)
         res = inf.run_test(request(gauss_data(3, 30, 2), 2, variance=variance))
@@ -349,7 +357,7 @@ class TestStatisticInItsSet:
 
     def test_endpoint_within_rounding_still_gives_a_pvalue(self, monkeypatch):
         def just_below(path, trace=None, selection=None):
-            return IntervalUnion.from_pairs([(0.0, path.psi_obs * (1.0 - 1e-10))])
+            return IntervalUnion([0.0], [path.psi_obs * (1.0 - 1e-10)])
 
         monkeypatch.setattr(inf, "truncation_set", just_below)
         res = inf.run_test(request(gauss_data(3, 30, 2), 2))

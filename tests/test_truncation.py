@@ -54,14 +54,6 @@ class TestSolveQuad:
     def test_double_root(self):
         got = solve_quad_leq(QuadCoeffs(1.0, -2.0, 1.0))
         assert spans(got) == [(1.0, 1.0)]
-        assert solve_quad_leq(QuadCoeffs(1.0, -2.0, 1.0), strict=True).is_empty
-
-    def test_strict_excludes_root_points(self):
-        got = solve_quad_leq(QuadCoeffs(-1.0, 2.0, -1.0), strict=True)
-        # -(psi-1)^2 < 0 everywhere except the root itself
-        assert spans(got) == [(0.0, 1.0), (1.0, INF)]
-        assert not interval_contains(got, 1.0)
-        assert interval_contains(got, 1.0 + 1e-9)
 
     def test_roots_below_zero_are_clipped(self):
         got = solve_quad_leq(QuadCoeffs(1.0, 3.0, 2.0))  # roots -1, -2
