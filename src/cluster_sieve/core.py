@@ -109,10 +109,6 @@ class ClusterPartition:
     def sizes(self) -> np.ndarray:
         return self._sizes
 
-    def members(self, k: int) -> np.ndarray:
-        """Row indices of cluster k."""
-        return np.flatnonzero(self.labels == k)
-
 
 @dataclass(frozen=True)
 class Interval:

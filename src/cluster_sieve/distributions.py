@@ -177,13 +177,6 @@ def _log_tails(kind: str, d1: int, d2: int | None, x: np.ndarray, x0: float = 0.
     return log_lower, log_upper
 
 
-def _log_survival(kind: str, d1: int, d2: int | None, t: float) -> float:
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(_log_tails(kind, d1, d2, np.array([float(t)]))[1][0])
-
-
 @dataclass(frozen=True)
 class TruncatedDistSpec:
     """A reference law (chi_d or F_{d1,d2}) restricted to an interval

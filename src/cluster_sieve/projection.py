@@ -47,10 +47,6 @@ class PairSet:
             norm.append((k, kp))
         object.__setattr__(self, "pairs", tuple(sorted(norm)))
 
-    @classmethod
-    def all_pairs(cls, K: int, rule: "SelectionRule | None" = None) -> "PairSet":
-        return cls(tuple((k, kp) for k in range(K) for kp in range(k + 1, K)), K, rule)
-
     @property
     def touched(self) -> tuple[int, ...]:
         """Sorted cluster indices appearing in some pair."""

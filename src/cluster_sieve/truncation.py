@@ -392,45 +392,52 @@ def _cross_gram(U: np.ndarray, W: np.ndarray, Ubar: np.ndarray, Wbar: np.ndarray
     )
 
 
-def _competitor_split(curr: np.ndarray, K: int):
-    """A function taking an n x K matrix G to G[i, curr_i] and G[i, l]
-    over the competitors l != curr_i, both flattened in (i, l) order."""
-    rows = np.arange(curr.size)
-    keep = np.ones((curr.size, K), dtype=bool)
-    keep[rows, curr] = False
-    return lambda G: (np.repeat(G[rows, curr], K - 1), G[keep])
-
-
 # Index pairs (u, w) of the Gram terms <U_u, U_w> each family needs: for
 # the known-variance path (D, E) the terms dd, de, ee; for the
 # estimated-variance path (A, B, C) the terms aa, bb, cc, ab, ac, bc.
+# Term 2 is the frozen part's own term, ee or cc.
 _QUAD_TERMS = ((0, 0), (0, 1), (1, 1))
 _RADICAL_TERMS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-def _known_rows(trace: KMeansTrace, path: KnownPath, j: int) -> np.ndarray:
-    """Rows (a, b, c) of a*psi^2 + b*psi + c <= 0 for every (point,
-    competitor) pair of Lloyd step j: the squared distance of x_i(psi)
-    to its assigned center minus that to the competitor's. Step 0
-    compares against the initial center rows of x(psi), later steps
-    against the centroids of the previous step's labels."""
-    split = _competitor_split(trace.assignments[j], trace.K)
-    mats = (path.D, path.E)
+def _step_grams(trace: KMeansTrace, j: int, mats, norms, terms) -> list:
+    """Per term (u, w), the Gram differences <U_i - Ubar_c, W_i - Wbar_c>
+    - <U_i - Ubar_l, W_i - Wbar_l> of Lloyd step j, U = mats[u] and W =
+    mats[w], for every point i with step-j label c and competitor l != c,
+    flattened in (i, l) order. Step 0 compares against the initial
+    center rows, later steps against the centroids of the previous
+    step's labels.
+
+    Given the row norms |U_i| of mats, a difference within _GRAM_ULPS
+    times its two entries' rounding bounds is zeroed; given None, none
+    is (the radical family clears its noise from the rows instead)."""
+    curr, K = trace.assignments[j], trace.K
+    rows = np.arange(curr.size)
+    keep = np.ones((curr.size, K), dtype=bool)
+    keep[rows, curr] = False
+
+    def own_other(G):
+        return np.repeat(G[rows, curr], K - 1), G[keep]
+
     bars = [step_centroids(U, trace, j) for U in mats]
-    # |U_i| + |Ubar_l| for U = D, E: the Cauchy-Schwarz factors of _GRAM_ULPS
-    reach = [
-        np.add.outer(np.linalg.norm(U, axis=1), np.linalg.norm(Ubar, axis=1))
-        for U, Ubar in zip(mats, bars)
-    ]
-    ulps = _GRAM_ULPS * (path.D.shape[1] + 3) * np.finfo(float).eps
-    coef = np.empty((trace.n * (trace.K - 1), 3))
-    for t, (u, w) in enumerate(_QUAD_TERMS):
-        own, other = split(_cross_gram(mats[u], mats[w], bars[u], bars[w]))
-        err_own, err_other = split(reach[u] * reach[w])
-        diff = own - other
-        coef[:, t] = np.where(np.abs(diff) <= ulps * (err_own + err_other), 0.0, diff)
-    coef[:, 1] *= 2.0
-    return coef
+    grams = [np.subtract(*own_other(_cross_gram(mats[u], mats[w], bars[u], bars[w])))
+             for u, w in terms]
+    if norms is None:
+        return grams
+    # |U_i| + |Ubar_l|: the Cauchy-Schwarz factors of _GRAM_ULPS
+    reach = [np.add.outer(nrm, np.linalg.norm(Ubar, axis=1)) for nrm, Ubar in zip(norms, bars)]
+    ulps = _GRAM_ULPS * (mats[0].shape[1] + 3) * np.finfo(float).eps
+    for t, (u, w) in enumerate(terms):
+        bound = ulps * np.add(*own_other(reach[u] * reach[w]))
+        grams[t] = np.where(np.abs(grams[t]) <= bound, 0.0, grams[t])
+    return grams
+
+
+def _quad_rows(dd, de, ee) -> np.ndarray:
+    """Rows (a, b, c) of a*psi^2 + b*psi + c from the Gram terms of a
+    difference vector's D and E parts: its squared norm along the
+    known-variance path."""
+    return np.column_stack([dd, 2.0 * de, ee])
 
 
 def _radical_rows(aa, bb, cc, ab, ac, bc, rs: float) -> np.ndarray:
@@ -449,20 +456,6 @@ def _clean_radical(lam: np.ndarray, rs: float) -> np.ndarray:
     live = scale >= 1e-13 * max(1.0, rs)
     lam, scale = lam[live], scale[live]
     return np.where(np.abs(lam) < _COEFF_NOISE * scale[:, None], 0.0, lam)
-
-
-def _unknown_rows(trace: KMeansTrace, path: UnknownPath, j: int) -> np.ndarray:
-    """Radical rows for every (point, competitor) pair of Lloyd step j:
-    assigned minus competitor squared distance along the
-    estimated-variance path."""
-    split = _competitor_split(trace.assignments[j], trace.K)
-    mats = (path.A, path.B, path.C)
-    bars = [step_centroids(U, trace, j) for U in mats]
-    grams = []
-    for u, w in _RADICAL_TERMS:
-        own, other = split(_cross_gram(mats[u], mats[w], bars[u], bars[w]))
-        grams.append(own - other)
-    return _clean_radical(_radical_rows(*grams, path.r_star), path.r_star)
 
 
 def _pair_grams(mats, part: ClusterPartition, terms):
@@ -490,29 +483,6 @@ def _selection_rows(rule: SelectionRule, V: PairSet, pairs, coef: np.ndarray, ga
     return -rows if rule.kind == "above" else rows
 
 
-def _selection_batch(path, part: ClusterPartition, V: PairSet):
-    """The selection event V on partition part as one batch of the path's
-    family: quadratic or radical rows."""
-    rule = V.rule
-    if isinstance(path, KnownPath):
-        pairs, grams = _pair_grams((path.D, path.E), part, _QUAD_TERMS)
-        # per-pair coefficients of ||x(psi)^T v||^2 = a*psi^2 + b*psi + c
-        coef = np.column_stack([grams[0], 2.0 * grams[1], grams[2]])
-        gamma = None if rule.threshold is None else np.array([0.0, 0.0, rule.threshold**2])
-        return _selection_rows(rule, V, pairs, coef, gamma)
-    # Projected center differences have no within-cluster component, so
-    # each pair's squared norm already is a radical form; thresholds enter
-    # as the affine form gamma1*psi + gamma2 subtracted from it.
-    rs = path.r_star
-    pairs, grams = _pair_grams((path.A, path.B, path.C), part, _RADICAL_TERMS)
-    gamma = None
-    if rule.threshold is not None:
-        t2 = rule.threshold**2
-        gamma = np.array([t2 / path.total_sq, 0.0, 0.0, 0.0, rs * t2 / path.total_sq])
-    rows = _selection_rows(rule, V, pairs, _radical_rows(*grams, rs), gamma)
-    return _clean_radical(rows, rs)
-
-
 def truncation_set(
     path: KnownPath | UnknownPath,
     trace: KMeansTrace | None = None,
@@ -531,11 +501,19 @@ def truncation_set(
     intersected in one sweep. Leaving out `trace` or `selection` leaves
     out that event.
     """
+    # The family: its path matrices (the last one frozen), Gram terms, the
+    # form turning Gram terms into rows, the cleaning of those rows, and
+    # the scale of a squared distance in the frozen part's own term.
     if isinstance(path, KnownPath):
-        step_rows, solve, met = _known_rows, _solve_quad, lambda coef: _never_positive(*coef.T)
+        mats, terms, scale = (path.D, path.E), _QUAD_TERMS, 1.0
+        norms = [np.linalg.norm(U, axis=1) for U in mats]
+        form, clean = _quad_rows, lambda coef: coef
+        solve, met = _solve_quad, lambda coef: _never_positive(*coef.T)
     else:
         rs = path.r_star
-        step_rows = _unknown_rows
+        mats, terms, scale = (path.A, path.B, path.C), _RADICAL_TERMS, path.total_sq
+        norms = None
+        form, clean = (lambda *g: _radical_rows(*g, rs)), (lambda lam: _clean_radical(lam, rs))
         solve, met = (lambda lam: _solve_radical(lam, rs)), (lambda lam: _radical_met(lam, rs))
     if selection is not None:
         part, V = selection
@@ -547,8 +525,18 @@ def truncation_set(
     def batches():
         if trace is not None:
             for j in range(trace.J + 1):
-                yield step_rows(trace, path, j)
+                # formed in one expression, so no Gram array outlives its step
+                yield clean(form(*_step_grams(trace, j, mats, norms, terms)))
         if selection is not None:
-            yield _selection_batch(path, *selection)
+            # A pair's squared center distance is a Gram form of its center
+            # differences, and the squared threshold t^2 that of a constant
+            # t^2 / scale in the frozen part's own term.
+            pairs, grams = _pair_grams(mats, part, terms)
+            gamma = None
+            if V.rule.threshold is not None:
+                frozen = np.zeros((len(terms), 1))
+                frozen[2] = V.rule.threshold**2 / scale
+                gamma = form(*frozen)
+            yield clean(_selection_rows(V.rule, V, pairs, form(*grams), gamma))
 
     return _intersect_batches(batches(), solve, met)

@@ -10,7 +10,11 @@ reference for the batched sweep. `canonicalize` merges one interval at
 a time: the reference for core.merge_pieces. `contrast_basis` is an
 orthonormal basis of the tested pairs' contrast vectors, by SVD, and
 `reference_split` projects onto it: the reference for
-projection.split.
+projection.split. `_known_rows` and `_unknown_rows` build one Lloyd
+step's rows and `_selection_batch` the selection event's, each family on
+its own path: the reference for the row builder of
+truncation.truncation_set. `_log_survival` is one upper tail of
+distributions._log_tails at one point.
 """
 from __future__ import annotations
 
@@ -20,7 +24,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from cluster_sieve.core import INF, MERGE_TOL, ClusterPartition, Interval, IntervalUnion
-from cluster_sieve.truncation import _IMAG_TOL, _RESIDUAL_TOL, _RESIDUAL_ULPS, _ROOT_COLLAPSE
+from cluster_sieve.distributions import _log_tails
+from cluster_sieve.kmeans import KMeansTrace, step_centroids
+from cluster_sieve.projection import PairSet
+from cluster_sieve.truncation import (
+    _GRAM_ULPS,
+    _IMAG_TOL,
+    _QUAD_TERMS,
+    _RADICAL_TERMS,
+    _RESIDUAL_TOL,
+    _RESIDUAL_ULPS,
+    _ROOT_COLLAPSE,
+    KnownPath,
+    UnknownPath,
+    _clean_radical,
+    _cross_gram,
+    _pair_grams,
+    _radical_rows,
+    _selection_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -273,3 +295,81 @@ def reference_split(part: ClusterPartition, pairs, A: np.ndarray):
         rows = part.labels == k
         within[rows] = A[rows] - A[rows].mean(axis=0)
     return basis @ (basis.T @ A), within
+
+
+def _competitor_split(curr: np.ndarray, K: int):
+    """A function taking an n x K matrix G to G[i, curr_i] and G[i, l]
+    over the competitors l != curr_i, both flattened in (i, l) order."""
+    rows = np.arange(curr.size)
+    keep = np.ones((curr.size, K), dtype=bool)
+    keep[rows, curr] = False
+    return lambda G: (np.repeat(G[rows, curr], K - 1), G[keep])
+
+
+def _known_rows(trace: KMeansTrace, path: KnownPath, j: int) -> np.ndarray:
+    """Rows (a, b, c) of a*psi^2 + b*psi + c <= 0 for every (point,
+    competitor) pair of Lloyd step j: the squared distance of x_i(psi)
+    to its assigned center minus that to the competitor's. Step 0
+    compares against the initial center rows of x(psi), later steps
+    against the centroids of the previous step's labels."""
+    split = _competitor_split(trace.assignments[j], trace.K)
+    mats = (path.D, path.E)
+    bars = [step_centroids(U, trace, j) for U in mats]
+    # |U_i| + |Ubar_l| for U = D, E: the Cauchy-Schwarz factors of _GRAM_ULPS
+    reach = [
+        np.add.outer(np.linalg.norm(U, axis=1), np.linalg.norm(Ubar, axis=1))
+        for U, Ubar in zip(mats, bars)
+    ]
+    ulps = _GRAM_ULPS * (path.D.shape[1] + 3) * np.finfo(float).eps
+    coef = np.empty((trace.n * (trace.K - 1), 3))
+    for t, (u, w) in enumerate(_QUAD_TERMS):
+        own, other = split(_cross_gram(mats[u], mats[w], bars[u], bars[w]))
+        err_own, err_other = split(reach[u] * reach[w])
+        diff = own - other
+        coef[:, t] = np.where(np.abs(diff) <= ulps * (err_own + err_other), 0.0, diff)
+    coef[:, 1] *= 2.0
+    return coef
+
+
+def _unknown_rows(trace: KMeansTrace, path: UnknownPath, j: int) -> np.ndarray:
+    """Radical rows for every (point, competitor) pair of Lloyd step j:
+    assigned minus competitor squared distance along the
+    estimated-variance path."""
+    split = _competitor_split(trace.assignments[j], trace.K)
+    mats = (path.A, path.B, path.C)
+    bars = [step_centroids(U, trace, j) for U in mats]
+    grams = []
+    for u, w in _RADICAL_TERMS:
+        own, other = split(_cross_gram(mats[u], mats[w], bars[u], bars[w]))
+        grams.append(own - other)
+    return _clean_radical(_radical_rows(*grams, path.r_star), path.r_star)
+
+
+def _selection_batch(path, part: ClusterPartition, V: PairSet):
+    """The selection event V on partition part as one batch of the path's
+    family: quadratic or radical rows."""
+    rule = V.rule
+    if isinstance(path, KnownPath):
+        pairs, grams = _pair_grams((path.D, path.E), part, _QUAD_TERMS)
+        # per-pair coefficients of ||x(psi)^T v||^2 = a*psi^2 + b*psi + c
+        coef = np.column_stack([grams[0], 2.0 * grams[1], grams[2]])
+        gamma = None if rule.threshold is None else np.array([0.0, 0.0, rule.threshold**2])
+        return _selection_rows(rule, V, pairs, coef, gamma)
+    # Projected center differences have no within-cluster component, so
+    # each pair's squared norm already is a radical form; thresholds enter
+    # as the affine form gamma1*psi + gamma2 subtracted from it.
+    rs = path.r_star
+    pairs, grams = _pair_grams((path.A, path.B, path.C), part, _RADICAL_TERMS)
+    gamma = None
+    if rule.threshold is not None:
+        t2 = rule.threshold**2
+        gamma = np.array([t2 / path.total_sq, 0.0, 0.0, 0.0, rs * t2 / path.total_sq])
+    rows = _selection_rows(rule, V, pairs, _radical_rows(*grams, rs), gamma)
+    return _clean_radical(rows, rs)
+
+
+def _log_survival(kind: str, d1: int, d2: int | None, t: float) -> float:
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_log_tails(kind, d1, d2, np.array([float(t)]))[1][0])

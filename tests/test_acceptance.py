@@ -225,8 +225,8 @@ def test_single_pair_reductions_are_exact():
         if res.degenerate:
             continue
         # closed form of the one-pair variance-ratio statistic
-        mk = part.members(k)
-        mkp = part.members(kp)
+        mk = np.flatnonzero(part.labels == k)
+        mkp = np.flatnonzero(part.labels == kp)
         v = np.zeros(n)
         v[mk] = 1.0 / len(mk)
         v[mkp] = -1.0 / len(mkp)

@@ -8,6 +8,7 @@ interval_intersect returns.
 """
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -20,18 +21,16 @@ from cluster_sieve.inference import VarianceSpec
 from cluster_sieve.kmeans import KMeansConfig, run_kmeans
 from cluster_sieve.projection import build_projection
 from cluster_sieve.selection import SelectionRule, select_pairs
+from cluster_sieve import truncation
 from cluster_sieve.simulation import SimConfig, run_replicate
 from cluster_sieve.truncation import (
     _clean_radical,
-    _known_rows,
     _never_positive,
     _radical_met,
     _radical_rows,
-    _selection_batch,
     _selection_rows,
     _solve_quad,
     _solve_radical,
-    _unknown_rows,
     known_path,
     truncation_set,
     unknown_path,
@@ -41,6 +40,9 @@ from cluster_sieve.selection import pair_center_diffs
 from oracles import (
     QuadCoeffs,
     SqrtCoeffs,
+    _known_rows,
+    _selection_batch,
+    _unknown_rows,
     fold_intersection,
     quad_rows_set,
     radical_rows_set,
@@ -456,3 +458,55 @@ class TestClosedSets:
         assert iv.lo == pytest.approx(6.351004768622, rel=1e-15, abs=0)
         assert iv.hi == pytest.approx(6.4694080848578785, rel=1e-15, abs=0)
         assert res.p_value == pytest.approx(0.5712200289924428, rel=1e-15, abs=0)
+
+
+def built_batches(path, trace, selection=None):
+    """The row batches truncation_set builds, in order: one per Lloyd
+    step, then the selection event's, taken where the sweep reads them."""
+    seen = []
+
+    def capture(batches, solve, met):
+        seen.extend(batches)
+        return IntervalUnion.full()
+
+    with mock.patch.object(truncation, "_intersect_batches", capture):
+        truncation_set(path, trace, selection)
+    return seen
+
+
+class TestRowBuilder:
+    """The one row builder gives, step by step, the rows of the per-family
+    reference builders in oracles.py."""
+
+    @SETTINGS
+    @given(instances, st.sampled_from(sorted(RULES)), st.booleans())
+    def test_rows_equal_the_per_step_reference(self, inst, rule_name, known):
+        assume(inst is not None)
+        X, trace = inst
+        rule = RULES[rule_name](trace.K)
+        built = _bundle(X, trace, rule)
+        assume(built is not None)
+        part, V, bundle = built
+        try:
+            path = known_path(X, bundle, 1.0) if known else unknown_path(X, bundle)
+        except NotAvailable:
+            assume(False)
+        selection = (part, V) if rule.is_data_dependent else None
+        got = built_batches(path, trace, selection)
+        step_rows = _known_rows if known else _unknown_rows
+        want = [step_rows(trace, path, j) for j in range(trace.J + 1)]
+        assert len(got) == len(want) + (selection is not None)
+        for j, w in enumerate(want):
+            assert np.array_equal(got[j], w), j
+        if selection is None:
+            return
+        g, w = got[-1], _selection_batch(path, part, V)
+        if known or rule.threshold is None:
+            assert np.array_equal(g, w)
+        else:
+            # The F test's threshold row differs in one rounding: its last
+            # coefficient is r* * (t^2 / total_sq), where the reference
+            # forms (r* * t^2) / total_sq.
+            assert g.shape == w.shape
+            scale = np.abs(w).max(axis=1, keepdims=True)
+            assert np.all(np.abs(g - w) <= 1e-15 * scale), (g, w)

@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from cluster_sieve.core import INF, Interval, IntervalUnion, NotAvailable, ZeroMassSet
+from cluster_sieve.core import INF, IntervalUnion, NotAvailable, ZeroMassSet
 from cluster_sieve.distributions import (
     TruncatedDistSpec,
     chi_survival,
     chisq_survival,
-    _log_survival,
     f_survival,
     truncated_survival,
     truncated_survival_info,
 )
+
+from oracles import _log_survival
 
 
 def U(*pairs):

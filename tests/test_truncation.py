@@ -15,12 +15,12 @@ from cluster_sieve.core import (
     IntervalUnion,
     interval_contains,
 )
-from cluster_sieve.kmeans import KMeansConfig, replay_matches, run_kmeans
+from cluster_sieve.kmeans import replay_matches
 from cluster_sieve.projection import PairSet, build_projection, split
 from cluster_sieve.selection import SelectionRule, select_pairs
 from cluster_sieve.truncation import known_path, truncation_set, unknown_path
 
-from conftest import gauss_data, traced_instance
+from conftest import traced_instance
 from oracles import QuadCoeffs, SqrtCoeffs, solve_quad_leq, solve_sqrt_leq
 
 
