@@ -26,9 +26,7 @@ from .core import (
 from .distributions import (
     TruncatedDistSpec,
     chi_survival,
-    chisq_survival,
     f_survival,
-    truncated_survival,
     truncated_survival_info,
 )
 from .inference import (
@@ -71,7 +69,6 @@ __all__ = [
     "VarianceSpec",
     "ZeroMassSet",
     "chi_survival",
-    "chisq_survival",
     "f_survival",
     "build_projection",
     "run_kmeans",
@@ -84,6 +81,5 @@ __all__ = [
     "test_bonferroni",
     "test_known_sigma",
     "test_unknown_sigma",
-    "truncated_survival",
     "truncated_survival_info",
 ]

@@ -220,8 +220,6 @@ def _check_combinations(args, rule: SelectionRule, variance: VarianceSpec) -> No
     if args.bonferroni:
         if rule.is_data_dependent:
             raise CliError(EXIT_FLAGS, "--bonferroni needs a fixed pair list")
-        if args.account_selection:
-            raise CliError(EXIT_FLAGS, "--bonferroni excludes --account-selection")
         if variance.kind == "unknown":
             raise CliError(EXIT_FLAGS, "--bonferroni excludes --unknown-sigma")
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -156,10 +155,6 @@ class IntervalUnion:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_intervals(cls, intervals: Sequence[Interval]) -> "IntervalUnion":
-        return cls([iv.lo for iv in intervals], [iv.hi for iv in intervals])
-
-    @classmethod
     def empty(cls) -> "IntervalUnion":
         return cls((), ())
 
@@ -174,13 +169,6 @@ class IntervalUnion:
     @property
     def is_empty(self) -> bool:
         return self.lo.size == 0
-
-    def measure(self) -> float:
-        """Total Lebesgue length (inf if any piece is unbounded)."""
-        return float((self.hi - self.lo).sum())
-
-    def __iter__(self):
-        return iter(self.intervals)
 
     def __eq__(self, other):
         return (

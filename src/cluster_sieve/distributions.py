@@ -1,5 +1,5 @@
-"""Survival functions for chi, chi-squared, and F laws, and their tails
-truncated to an interval union.
+"""Survival functions for chi and F laws, and their tails truncated to
+an interval union.
 
 A truncated p-value is a ratio of set masses that can both lie far below
 the double range, so every mass is kept as a log. One rule gives the log
@@ -48,13 +48,6 @@ def chi_survival(t: float, d: int) -> float:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return float(special.gammaincc(d / 2.0, t * t / 2.0))
-
-
-def chisq_survival(x: float, d: int) -> float:
-    """P(chi^2_d >= x)."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return float(special.gammaincc(d / 2.0, x / 2.0))
 
 
 def f_survival(t: float, d1: int, d2: int) -> float:
@@ -195,14 +188,6 @@ class TruncatedDistSpec:
         if self.support.is_empty:
             raise ValueError("the truncation set must be nonempty")
 
-    @classmethod
-    def chi(cls, d: int, support: IntervalUnion) -> "TruncatedDistSpec":
-        return cls(kind="chi", d1=int(d), d2=None, support=support)
-
-    @classmethod
-    def fisher_f(cls, d1: int, d2: int, support: IntervalUnion) -> "TruncatedDistSpec":
-        return cls(kind="f", d1=int(d1), d2=int(d2), support=support)
-
 
 def _narrow_log_mass(
     spec: TruncatedDistSpec, lo: np.ndarray, hi: np.ndarray, x0: float
@@ -283,9 +268,3 @@ def truncated_survival_info(t: float, spec: TruncatedDistSpec) -> tuple[float, d
         # Mass above t exceeded total mass by more than rounding.
         info["excess_mass"] = True
     return p, info
-
-
-def truncated_survival(t: float, spec: TruncatedDistSpec) -> float:
-    """P(T >= t | T in S); see truncated_survival_info for diagnostics."""
-    p, _ = truncated_survival_info(t, spec)
-    return p

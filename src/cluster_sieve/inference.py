@@ -1,27 +1,32 @@
 """User-facing tests: cluster the data, build the truncation set, and
-evaluate the truncated tail probability.
+evaluate the truncated tail probability. One runner serves them all:
+it tests the selected pairs jointly (the chi and F tests) or each pair
+alone (the Bonferroni baseline, min(1, pairs * smallest p)).
 
 Every procedure conditions on the full clustering history, and
-optionally on the outcome of a data-dependent pair selection. All
-p-values are the upper-tail probability P(T >= t_obs | T in S) under
-the reference law restricted to the analytically computed set S, which
-makes them exactly uniform under the null in every variant. Conditions
-that make a p-value undefined (degenerate clustering, empty selection,
-no resolvable set mass) yield a not-available result instead of an
-error.
+optionally on the outcome of a data-dependent pair selection. The
+p-value of one group of pairs is the upper-tail probability
+P(T >= t_obs | T in S) under the reference law restricted to the
+analytically computed set S, which makes it exactly uniform under the
+null; the Bonferroni bound over several groups is super-uniform.
+Conditions that make a p-value undefined (degenerate clustering, empty
+selection, no resolvable set mass) yield a not-available result
+instead of an error.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from .core import DataMatrix, Method, NotAvailable, PValueResult, interval_contains
+from .core import (
+    ClusterPartition, DataMatrix, Method, NotAvailable, PValueResult, interval_contains
+)
 from .distributions import TruncatedDistSpec, truncated_survival_info
 from .kmeans import KMeansConfig, KMeansTrace, run_kmeans
-from .projection import PairSet, ProjectionBundle, build_projection
+from .projection import PairSet, build_projection
 from .selection import SelectionRule, select_pairs
 from .truncation import known_path, truncation_set, unknown_path
 
@@ -124,32 +129,23 @@ def _resolve_sigma(req: TestRequest) -> tuple[float | None, dict]:
     return est, {"sigma_estimate": est, "variance": v.kind, "asymptotic_only": True}
 
 
-def _prepare(req: TestRequest):
-    trace = run_kmeans(req.data, req.kmeans_cfg)
-    part = trace.final_partition()
-    return trace, part, select_pairs(req.data, part, req.rule)
-
-
 def _test(
-    req: TestRequest,
-    trace: KMeansTrace,
-    V: PairSet,
-    bundle: ProjectionBundle,
-    sigma: float | None,
-    method: Method,
-    diag: dict,
+    req: TestRequest, trace: KMeansTrace, part: ClusterPartition, V: PairSet,
+    sigma: float | None, method: Method,
 ) -> PValueResult:
-    """The one test core: the path of the data along the directions of
-    bundle, its truncation set S (the clustering history and, with
-    account_selection, the selection V), and the tail of the reference
-    law truncated to S at the observed statistic. The law is chi with
-    the given sigma, or F with sigma None. A statistic outside S, beyond
-    the relative rounding allowance of its endpoints, voids the test."""
+    """The one test core: the path of the data along the mean-difference
+    directions of the pairs V, its truncation set S (the clustering
+    history and, with account_selection, the selection), and the tail
+    of the reference law truncated to S at the observed statistic. The
+    law is chi with the given sigma, or F with sigma None. A statistic
+    outside S, beyond the relative rounding allowance of its endpoints,
+    voids the test."""
+    bundle = build_projection(part, V, req.data.q)
     if sigma is None:
         path, law, df_den = unknown_path(req.data, bundle), "f", bundle.d_star
     else:
         path, law, df_den = known_path(req.data, bundle, sigma), "chi", None
-    S = truncation_set(path, trace, (bundle.part, V) if req.account_selection else None)
+    S = truncation_set(path, trace, (part, V) if req.account_selection else None)
     if not interval_contains(S, path.psi_obs, tol=1e-9 * max(1.0, path.psi_obs)):
         raise NotAvailable("statistic_outside_set")
     spec = TruncatedDistSpec(law, bundle.d, df_den, S)
@@ -161,22 +157,37 @@ def _test(
         truncation=S,
         p_value=p,
         method=method,
-        diagnostics={**diag, **info, "iterations": trace.J, "converged": trace.converged},
+        diagnostics={**info, "iterations": trace.J, "converged": trace.converged},
     )
 
 
-def _joint_test(req: TestRequest, method: Method, selected: Method) -> PValueResult:
-    """One test of every pair the rule selects, jointly, tagged `method`
-    or, when it accounts for the selection, `selected`."""
-    method = selected if req.account_selection else method
+def _run(req: TestRequest, pairwise: bool = False) -> PValueResult:
+    """The one runner of every test: resolve sigma, cluster, select the
+    pairs V, then test V jointly, or, when pairwise, each pair of V on
+    its own. The result is the group with the smallest p-value, whose
+    p-value becomes min(1, groups * p): the Bonferroni bound, and p
+    itself for the one joint group. Failures of any group give NA."""
+    if pairwise:
+        method = Method.BONFERRONI
+    elif req.variance.kind == "unknown":
+        method = Method.UNKNOWN_SIGMA_SELECTED if req.account_selection else Method.UNKNOWN_SIGMA
+    else:
+        method = Method.KNOWN_SIGMA_SELECTED if req.account_selection else Method.KNOWN_SIGMA
     try:
         sigma, diag = _resolve_sigma(req)
-        trace, part, V = _prepare(req)
-        bundle = build_projection(part, V, req.data.q)
-        diag = {**diag, "pairs_tested": [list(pair) for pair in V.pairs]}
-        return _test(req, trace, V, bundle, sigma, method, diag)
+        trace = run_kmeans(req.data, req.kmeans_cfg)
+        part = trace.final_partition()
+        V = select_pairs(req.data, part, req.rule)
+        groups = [PairSet((pair,), part.K) for pair in V.pairs] if pairwise else [V]
+        results = [_test(req, trace, part, W, sigma, method) for W in groups]
     except NotAvailable as e:
         return PValueResult.not_available(method, str(e))
+    i = min(range(len(groups)), key=lambda j: results[j].p_value)
+    diag["pairs_tested"] = [list(pair) for pair in V.pairs]
+    if pairwise:
+        diag.update(winning_pair=list(V.pairs[i]), pairwise_p_values=[r.p_value for r in results])
+    p = min(1.0, len(groups) * results[i].p_value)
+    return replace(results[i], p_value=p, diagnostics={**diag, **results[i].diagnostics})
 
 
 def test_known_sigma(req: TestRequest) -> PValueResult:
@@ -191,7 +202,7 @@ def test_known_sigma(req: TestRequest) -> PValueResult:
     """
     if req.variance.kind == "unknown":
         raise ValueError("test_known_sigma needs a known or plug-in sigma")
-    return _joint_test(req, Method.KNOWN_SIGMA, Method.KNOWN_SIGMA_SELECTED)
+    return _run(req)
 
 
 def test_unknown_sigma(req: TestRequest) -> PValueResult:
@@ -205,7 +216,7 @@ def test_unknown_sigma(req: TestRequest) -> PValueResult:
     """
     if req.variance.kind != "unknown":
         raise ValueError("test_unknown_sigma takes variance kind 'unknown'")
-    return _joint_test(req, Method.UNKNOWN_SIGMA, Method.UNKNOWN_SIGMA_SELECTED)
+    return _run(req)
 
 
 def test_bonferroni(req: TestRequest) -> PValueResult:
@@ -220,33 +231,7 @@ def test_bonferroni(req: TestRequest) -> PValueResult:
         raise ValueError("test_bonferroni needs a fixed pair list")
     if req.variance.kind == "unknown":
         raise ValueError("test_bonferroni needs a known or plug-in sigma")
-    try:
-        sigma, diag = _resolve_sigma(req)
-        trace, part, V = _prepare(req)
-        results = []
-        for pair in V.pairs:
-            one = PairSet((pair,), part.K)
-            bundle = build_projection(part, one, req.data.q)
-            res = _test(req, trace, one, bundle, sigma, Method.KNOWN_SIGMA, diag)
-            results.append(res)
-    except NotAvailable as e:
-        return PValueResult.not_available(Method.BONFERRONI, str(e))
-    best = min(range(len(results)), key=lambda i: results[i].p_value)
-    winner = results[best]
-    return PValueResult(
-        statistic=winner.statistic,
-        df_num=winner.df_num,
-        df_den=None,
-        truncation=winner.truncation,
-        p_value=min(1.0, len(V.pairs) * winner.p_value),
-        method=Method.BONFERRONI,
-        diagnostics={
-            **winner.diagnostics,
-            "pairs_tested": [list(pair) for pair in V.pairs],
-            "winning_pair": list(V.pairs[best]),
-            "pairwise_p_values": [r.p_value for r in results],
-        },
-    )
+    return _run(req, pairwise=True)
 
 
 def run_test(req: TestRequest, bonferroni: bool = False) -> PValueResult:

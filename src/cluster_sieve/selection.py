@@ -94,16 +94,6 @@ def pair_center_diffs(
     return pairs, diffs
 
 
-def pair_sq_distances(
-    values: np.ndarray, part: ClusterPartition
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """All pairs (k < k') with the squared distance between their
-    cluster centers, which equals ||A^T v_(k,k')||^2. Squared norms are
-    order-preserving, so rank and threshold rules compare them directly."""
-    pairs, diffs = pair_center_diffs(values, part)
-    return pairs, (diffs**2).sum(axis=1)
-
-
 def select_pairs(A: DataMatrix, part: ClusterPartition, rule: SelectionRule) -> PairSet:
     """Apply a selection rule to the clustered data.
 
@@ -113,12 +103,11 @@ def select_pairs(A: DataMatrix, part: ClusterPartition, rule: SelectionRule) -> 
     EmptySelection; tests report NA in that case.
     """
     if rule.kind == "fixed":
-        for k, kp in rule.pairs:
-            if not (0 <= k < kp < part.K):
-                raise ValueError(f"fixed pair ({k}, {kp}) invalid for K={part.K}")
         return PairSet(rule.pairs, part.K, rule)
-
-    pairs, sq = pair_sq_distances(A.values, part)
+    # Squared center distances ||A^T v||^2 order pairs as the distances
+    # do, so rank and threshold rules compare them directly.
+    pairs, diffs = pair_center_diffs(A.values, part)
+    sq = (diffs**2).sum(axis=1)
     if rule.kind == "top":
         if rule.g > len(pairs):
             raise ValueError(f"g={rule.g} exceeds the number of pairs {len(pairs)}")

@@ -64,6 +64,10 @@ class SimConfig:
             raise ValueError("need at least one replicate")
         if self.bonferroni and self.rule.is_data_dependent:
             raise ValueError("the Bonferroni baseline needs a fixed pair list")
+        if self.bonferroni and self.variance.kind == "unknown":
+            raise ValueError("the Bonferroni baseline needs a known or plug-in sigma")
+        if self.account_selection and not self.rule.is_data_dependent:
+            raise ValueError("account_selection requires a data-dependent selection rule")
         if self.rule.g is not None and self.rule.g > self.K * (self.K - 1) // 2:
             raise ValueError(f"g={self.rule.g} exceeds the number of cluster pairs")
         if self.kmeans_max_iter < 1:

@@ -44,7 +44,7 @@ from .core import (
 )
 from .kmeans import KMeansTrace, step_centroids
 from .projection import PairSet, ProjectionBundle, split
-from .selection import SelectionRule, pair_center_diffs
+from .selection import pair_center_diffs
 
 # Candidate quartic roots are accepted with deliberately loose tolerances:
 # spurious candidates only refine the sign partition, while a missed real
@@ -465,22 +465,22 @@ def _pair_grams(mats, part: ClusterPartition, terms):
     return diffs[0][0], [(diffs[u][1] * diffs[w][1]).sum(axis=1) for u, w in terms]
 
 
-def _selection_rows(rule: SelectionRule, V: PairSet, pairs, coef: np.ndarray, gamma):
-    """The selection event as rows of coef's form, each <= 0: coef[p] is
-    the form of pair p's squared center distance and gamma that of the
-    squared threshold (None for rank rules).
+def _selection_rows(V: PairSet, pairs, coef: np.ndarray, gamma):
+    """The selection event of V.rule as rows of coef's form, each <= 0:
+    coef[p] is the form of pair p's squared center distance and gamma
+    that of the squared threshold (None for rank rules).
 
     Rank rules pin every selected pair ahead of every unselected one;
     threshold rules pin each pair to its own side of the threshold.
     """
     selected = np.array([p in V.pairs for p in pairs])
     sel, uns = coef[selected], coef[~selected]
-    if rule.kind in ("top", "bottom"):
+    if V.rule.kind in ("top", "bottom"):
         # top: every unselected pair closer than every selected one
         rows = (uns[None, :, :] - sel[:, None, :]).reshape(-1, coef.shape[1])
-        return rows if rule.kind == "top" else -rows
+        return rows if V.rule.kind == "top" else -rows
     rows = np.vstack([sel - gamma, gamma - uns])
-    return -rows if rule.kind == "above" else rows
+    return -rows if V.rule.kind == "above" else rows
 
 
 def truncation_set(
@@ -537,6 +537,6 @@ def truncation_set(
                 frozen = np.zeros((len(terms), 1))
                 frozen[2] = V.rule.threshold**2 / scale
                 gamma = form(*frozen)
-            yield clean(_selection_rows(V.rule, V, pairs, form(*grams), gamma))
+            yield clean(_selection_rows(V, pairs, form(*grams), gamma))
 
     return _intersect_batches(batches(), solve, met)

@@ -14,7 +14,8 @@ projection.split. `_known_rows` and `_unknown_rows` build one Lloyd
 step's rows and `_selection_batch` the selection event's, each family on
 its own path: the reference for the row builder of
 truncation.truncation_set. `_log_survival` is one upper tail of
-distributions._log_tails at one point.
+distributions._log_tails at one point. `union_of` is the IntervalUnion
+of a sequence of Interval pieces.
 """
 from __future__ import annotations
 
@@ -43,6 +44,10 @@ from cluster_sieve.truncation import (
     _radical_rows,
     _selection_rows,
 )
+
+
+def union_of(intervals) -> IntervalUnion:
+    return IntervalUnion([iv.lo for iv in intervals], [iv.hi for iv in intervals])
 
 
 @dataclass(frozen=True)
@@ -108,14 +113,14 @@ def solve_quad_leq(c: QuadCoeffs) -> IntervalUnion:
             return IntervalUnion.full() if cc <= 0.0 else IntervalUnion.empty()
         root = -cc / b
         iv = _interval(0.0, root) if b > 0.0 else _interval(root, INF)
-        return IntervalUnion.from_intervals((iv,) if iv else ())
+        return union_of((iv,) if iv else ())
     disc = b * b - 4.0 * a * cc
     if disc <= 0.0:
         if a > 0.0:
             if disc == 0.0:
                 root = -b / (2.0 * a)
                 if root >= 0.0:
-                    return IntervalUnion.from_intervals((Interval(root, root),))
+                    return union_of((Interval(root, root),))
             return IntervalUnion.empty()
         return IntervalUnion.full()
     # Two real roots; the classical formula cancels when b^2 >> 4ac, so
@@ -127,7 +132,7 @@ def solve_quad_leq(c: QuadCoeffs) -> IntervalUnion:
     r2 = cc / qq
     lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
     pieces = (_interval(lo, hi),) if a > 0.0 else (_interval(0.0, lo), _interval(hi, INF))
-    return IntervalUnion.from_intervals(tuple(iv for iv in pieces if iv))
+    return union_of(tuple(iv for iv in pieces if iv))
 
 
 def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
@@ -208,7 +213,7 @@ def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
             pieces.append(_interval(lo * lo, hi * hi))
     if g_of_y(dedup[-1] + 1.0) <= 0.0:
         pieces.append(_interval(dedup[-1] ** 2, INF))
-    return IntervalUnion.from_intervals(tuple(iv for iv in pieces if iv))
+    return union_of(tuple(iv for iv in pieces if iv))
 
 
 def canonicalize(intervals) -> tuple[Interval, ...]:
@@ -242,7 +247,7 @@ def interval_intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
             ai += 1
         else:
             bi += 1
-    return IntervalUnion.from_intervals(tuple(out))
+    return union_of(tuple(out))
 
 
 def fold_intersection(sets, S: IntervalUnion | None = None) -> IntervalUnion:
@@ -354,7 +359,7 @@ def _selection_batch(path, part: ClusterPartition, V: PairSet):
         # per-pair coefficients of ||x(psi)^T v||^2 = a*psi^2 + b*psi + c
         coef = np.column_stack([grams[0], 2.0 * grams[1], grams[2]])
         gamma = None if rule.threshold is None else np.array([0.0, 0.0, rule.threshold**2])
-        return _selection_rows(rule, V, pairs, coef, gamma)
+        return _selection_rows(V, pairs, coef, gamma)
     # Projected center differences have no within-cluster component, so
     # each pair's squared norm already is a radical form; thresholds enter
     # as the affine form gamma1*psi + gamma2 subtracted from it.
@@ -364,7 +369,7 @@ def _selection_batch(path, part: ClusterPartition, V: PairSet):
     if rule.threshold is not None:
         t2 = rule.threshold**2
         gamma = np.array([t2 / path.total_sq, 0.0, 0.0, 0.0, rs * t2 / path.total_sq])
-    rows = _selection_rows(rule, V, pairs, _radical_rows(*grams, rs), gamma)
+    rows = _selection_rows(V, pairs, _radical_rows(*grams, rs), gamma)
     return _clean_radical(rows, rs)
 
 

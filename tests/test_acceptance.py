@@ -29,7 +29,7 @@ from cluster_sieve.distributions import (
     TruncatedDistSpec,
     chi_survival,
     f_survival,
-    truncated_survival,
+    truncated_survival_info,
 )
 from cluster_sieve import inference as inf
 from cluster_sieve.kmeans import KMeansConfig, replay_matches, run_kmeans
@@ -401,7 +401,7 @@ def test_distribution_numerics_against_quadrature():
     ]
     for d, S, ts in chi_cases:
         for t in ts:
-            got = truncated_survival(t, TruncatedDistSpec.chi(d, S))
+            got = truncated_survival_info(t, TruncatedDistSpec("chi", d, None, S))[0]
             want = _mp_truncated_survival(_mp_chi_pdf(d), S, t)
             assert abs(got - want) <= 1e-10, f"chi d={d} t={t}"
     f_cases = [
@@ -410,7 +410,7 @@ def test_distribution_numerics_against_quadrature():
     ]
     for d1, d2, S, ts in f_cases:
         for t in ts:
-            got = truncated_survival(t, TruncatedDistSpec.fisher_f(d1, d2, S))
+            got = truncated_survival_info(t, TruncatedDistSpec("f", d1, d2, S))[0]
             want = _mp_truncated_survival(_mp_f_pdf(d1, d2), S, t)
             assert abs(got - want) <= 1e-10, f"F ({d1},{d2}) t={t}"
 

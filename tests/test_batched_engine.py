@@ -48,6 +48,7 @@ from oracles import (
     radical_rows_set,
     solve_quad_leq,
     solve_sqrt_leq,
+    union_of,
 )
 
 # derandomize: every run draws the same examples, so the suite stays
@@ -65,7 +66,7 @@ def per_row(pieces, m):
     rows = [[] for _ in range(m)]
     for r, lo, hi in zip(*(f.tolist() for f in pieces)):
         rows[r].append(Interval(lo, hi))
-    return [IntervalUnion.from_intervals(tuple(ivs)) for ivs in rows]
+    return [union_of(tuple(ivs)) for ivs in rows]
 
 
 def assert_same_set(got: IntervalUnion, want: IntervalUnion, rel: float = 0.0):
@@ -122,8 +123,8 @@ class TestQuadRows:
             assert g == solve_quad_leq(QuadCoeffs(*row))
         assert got[2].is_empty and got[4].is_empty and got[8].is_empty
         assert got[0] == got[1] == got[5] == got[6] == IntervalUnion.full()
-        assert [(iv.lo, iv.hi) for iv in got[3]] == [(1.0, 1.0)]
-        assert [(iv.lo, iv.hi) for iv in got[7]] == [(0.0, 1.0), (2.0, INF)]
+        assert [(iv.lo, iv.hi) for iv in got[3].intervals] == [(1.0, 1.0)]
+        assert [(iv.lo, iv.hi) for iv in got[7].intervals] == [(0.0, 1.0), (2.0, INF)]
 
 
 @st.composite
@@ -388,7 +389,7 @@ class TestIntersectionAgainstFold:
                 [(dD**2).sum(axis=1), 2.0 * (dD * dE).sum(axis=1), (dE**2).sum(axis=1)]
             )
             gamma = None if rule.threshold is None else np.array([0.0, 0.0, rule.threshold**2])
-            want = quad_rows_set(_selection_rows(rule, V, pairs, coef, gamma))
+            want = quad_rows_set(_selection_rows(V, pairs, coef, gamma))
             assert_same_set(truncation_set(path, selection=(part, V)), want, rel=1e-12)
             both = truncation_set(path, trace, selection=(part, V))
             assert_same_set(both, fold_intersection(steps + [want]), rel=1e-12)
@@ -419,7 +420,7 @@ class TestIntersectionAgainstFold:
             if rule.threshold is not None:
                 t2 = rule.threshold**2 / path.total_sq
                 gamma = np.array([t2, 0.0, 0.0, 0.0, rs * t2])
-            rows = _selection_rows(rule, V, pair_center_diffs(path.A, part)[0], lam, gamma)
+            rows = _selection_rows(V, pair_center_diffs(path.A, part)[0], lam, gamma)
             want = radical_rows_set(_clean_radical(rows, rs), rs)
             assert_same_set(truncation_set(path, selection=(part, V)), want, rel=1e-12)
             both = truncation_set(path, trace, selection=(part, V))

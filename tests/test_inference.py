@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cluster_sieve.core import INF, DataMatrix, IntervalUnion, Method, interval_contains
-from cluster_sieve.distributions import TruncatedDistSpec, truncated_survival
+from cluster_sieve.distributions import TruncatedDistSpec, truncated_survival_info
 from cluster_sieve import inference as inf
 from cluster_sieve.kmeans import KMeansConfig
 from cluster_sieve.selection import SelectionRule
@@ -146,9 +146,9 @@ class TestKnownSigma:
     def test_pvalue_matches_direct_survival(self):
         X = gauss_data(7, 21, 2)
         res = inf.test_known_sigma(request(X, 3))
-        spec = TruncatedDistSpec.chi(res.df_num, res.truncation)
+        spec = TruncatedDistSpec("chi", res.df_num, None, res.truncation)
         assert res.p_value == pytest.approx(
-            truncated_survival(res.statistic, spec), abs=1e-15
+            truncated_survival_info(res.statistic, spec)[0], abs=1e-15
         )
 
     def test_pairs_tested_reported(self):
@@ -163,17 +163,17 @@ class TestKnownSigma:
 
     def test_degenerate_data_gives_na(self):
         X = DataMatrix(np.zeros((6, 2)))
-        res = inf.test_known_sigma(
-            inf.TestRequest(
-                data=X,
-                kmeans_cfg=KMeansConfig(K=2, init_indices=(0, 1)),
-                rule=SelectionRule.fixed_all(2),
-                variance=inf.VarianceSpec.known(1.0),
-            )
+        req = inf.TestRequest(
+            data=X,
+            kmeans_cfg=KMeansConfig(K=2, init_indices=(0, 1)),
+            rule=SelectionRule.fixed_all(2),
+            variance=inf.VarianceSpec.known(1.0),
         )
-        assert res.degenerate
-        assert math.isnan(res.p_value)
-        assert "reason" in res.diagnostics
+        for res, method in ((inf.test_known_sigma(req), Method.KNOWN_SIGMA),
+                            (inf.test_bonferroni(req), Method.BONFERRONI)):
+            assert res.degenerate and res.method is method
+            assert math.isnan(res.p_value)
+            assert "reason" in res.diagnostics
 
 
 class TestReductions:
@@ -266,11 +266,15 @@ class TestPlugIn:
 
     def test_median_plug_in_diagnostics(self):
         X = gauss_data(12, 30, 3)
-        res = inf.test_known_sigma(request(X, 2, variance=inf.VarianceSpec.plug_in_median()))
-        assert res.diagnostics["variance"] == "plug_in_median"
-        assert res.diagnostics["sigma_estimate"] == pytest.approx(
-            inf.sigma_hat_med(X), rel=1e-14
-        )
+        for K, bonferroni in ((2, False), (3, True)):
+            req = request(X, K, variance=inf.VarianceSpec.plug_in_median())
+            res = inf.run_test(req, bonferroni=bonferroni)
+            assert not res.degenerate
+            assert res.diagnostics["variance"] == "plug_in_median"
+            assert res.diagnostics["asymptotic_only"] is True
+            assert res.diagnostics["sigma_estimate"] == pytest.approx(
+                inf.sigma_hat_med(X), rel=1e-14
+            )
 
 
 class TestUnknownSigma:
@@ -285,9 +289,9 @@ class TestUnknownSigma:
     def test_pvalue_matches_direct_survival(self):
         X = gauss_data(1, 24, 3)
         res = inf.test_unknown_sigma(request(X, 2, variance=inf.VarianceSpec.unknown()))
-        spec = TruncatedDistSpec.fisher_f(res.df_num, res.df_den, res.truncation)
+        spec = TruncatedDistSpec("f", res.df_num, res.df_den, res.truncation)
         assert res.p_value == pytest.approx(
-            truncated_survival(res.statistic, spec), abs=1e-15
+            truncated_survival_info(res.statistic, spec)[0], abs=1e-15
         )
 
     def test_separated_clusters_reject(self):
@@ -316,7 +320,8 @@ class TestSelectionAccounting:
             assert acct.method is Method.KNOWN_SIGMA_SELECTED
             assert acct.statistic == plain.statistic
             # extra conditioning can only shrink the set
-            assert acct.truncation.measure() <= plain.truncation.measure() + 1e-9
+            a, b = acct.truncation, plain.truncation
+            assert (a.hi - a.lo).sum() <= (b.hi - b.lo).sum() + 1e-9
             assert interval_contains(acct.truncation, acct.statistic, tol=1e-9)
             done += 1
         assert done >= 10

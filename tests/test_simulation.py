@@ -51,6 +51,11 @@ class TestConfig:
             config(replicates=0)
         with pytest.raises(ValueError):
             config(bonferroni=True, rule=SelectionRule.top_g(1))
+        # combinations that no replicate could run
+        with pytest.raises(ValueError):
+            config(bonferroni=True, variance=VarianceSpec.unknown())
+        with pytest.raises(ValueError):
+            config(account_selection=True)  # with the default fixed rule
 
     def test_null_layout_is_zero(self):
         mu = _means(config(delta=3.0))
