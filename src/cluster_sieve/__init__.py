@@ -3,8 +3,9 @@ means, with known or estimated noise scale.
 
 The public surface: build a `TestRequest` around a `DataMatrix`, a
 `KMeansConfig`, a `SelectionRule`, and a `VarianceSpec`, then call
-`run_test`, which picks the `test_*` function the request asks for.
-Simulation helpers live in
+`run_test`: the request alone says which test runs (joint or Bonferroni,
+selection accounted or not, how many clustering starts). Simulation
+helpers live in
 `cluster_sieve.simulation`, the command line in `cluster_sieve.cli`.
 """
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .core import INF, DataMatrix, IntervalUnion, PValueResult
-from .inference import TestRequest, VarianceSpec, run_test
+from .inference import TestRequest, VarianceSpec, check_test_choice, restart_seed, run_test
 from .kmeans import KMeansConfig
 from .selection import SelectionRule
 from .simulation import SimConfig, run_power, run_type1
@@ -213,15 +213,10 @@ def resolve_rule(pairs: str | None, select: str | None, K: int) -> SelectionRule
 
 
 def _check_combinations(args, rule: SelectionRule, variance: VarianceSpec) -> None:
-    if args.account_selection and not rule.is_data_dependent:
-        raise CliError(
-            EXIT_FLAGS, "--account-selection needs a data-dependent --select rule"
-        )
-    if args.bonferroni:
-        if rule.is_data_dependent:
-            raise CliError(EXIT_FLAGS, "--bonferroni needs a fixed pair list")
-        if variance.kind == "unknown":
-            raise CliError(EXIT_FLAGS, "--bonferroni excludes --unknown-sigma")
+    try:
+        check_test_choice(rule, variance, args.account_selection, args.bonferroni)
+    except ValueError as e:
+        raise CliError(EXIT_FLAGS, f"invalid flag combination: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +254,7 @@ def _truncation_json(S: IntervalUnion):
 def _result_payload(res: PValueResult, seed: int, restarts: int) -> dict:
     na = res.degenerate
     diag = dict(res.diagnostics)
+    restart = {k: diag.pop(k) for k in ("restart_p_values", "na_restarts") if k in diag}
     # Cluster labels are 1-based everywhere on the CLI surface.
     pairs = diag.pop("pairs_tested", None)
     if pairs is not None:
@@ -279,6 +275,7 @@ def _result_payload(res: PValueResult, seed: int, restarts: int) -> dict:
         "seed": seed,
         "restarts": restarts,
         "diagnostics": _jsonable(diag),
+        **restart,
     }
 
 
@@ -323,21 +320,6 @@ def _render_csv(payload: dict) -> str:
 # test subcommand
 
 
-def _restart_seed(seed: int, restart: int) -> int:
-    return int(np.random.SeedSequence((seed, restart)).generate_state(1)[0])
-
-
-def _run_one_test(args, data, rule, variance, kseed: int) -> PValueResult:
-    req = TestRequest(
-        data=data,
-        kmeans_cfg=KMeansConfig(K=args.k, max_iter=args.max_iter, seed=kseed),
-        rule=rule,
-        variance=variance,
-        account_selection=args.account_selection,
-    )
-    return run_test(req, bonferroni=args.bonferroni)
-
-
 def cmd_test(args, argv: list[str]) -> int:
     t0 = time.perf_counter()
     if args.k < 2:
@@ -364,26 +346,21 @@ def cmd_test(args, argv: list[str]) -> int:
     except ValueError as e:
         raise CliError(EXIT_INPUT, f"{args.file}: {e}")
 
-    # Each restart reruns the clustering from a fresh seeded start. The
-    # p-values of the restarts are dependent, so their mean is not a valid
-    # p-value, but twice the mean is (Vovk & Wang 2020, "Combining p-values
-    # via averaging"); it is reported over the non-degenerate restarts.
-    results = [
-        _run_one_test(args, data, rule, variance, _restart_seed(args.seed, r))
-        for r in range(args.restarts)
-    ]
-    ok = [res for res in results if not res.degenerate]
-    shown = ok[0] if ok else results[0]
-    payload = _result_payload(shown, args.seed, args.restarts)
-    if args.restarts > 1:
-        payload["restart_p_values"] = [
-            None if res.degenerate else res.p_value for res in results
-        ]
-        payload["na_restarts"] = len(results) - len(ok)
-        if ok:
-            payload["p_value"] = min(1.0, 2.0 * float(np.mean([res.p_value for res in ok])))
-        else:
-            payload["status"] = "NA"
+    # run_test seeds start r of a restart run by restart_seed(--seed, r).
+    # A single start is seeded as start 0 of such a run: it runs the same
+    # clustering as the first start of --restarts R, and a given --seed
+    # keeps selecting the clustering it always has.
+    kseed = restart_seed(args.seed, 0) if args.restarts == 1 else args.seed
+    req = TestRequest(
+        data=data,
+        kmeans_cfg=KMeansConfig(K=args.k, max_iter=args.max_iter, seed=kseed),
+        rule=rule,
+        variance=variance,
+        account_selection=args.account_selection,
+        bonferroni=args.bonferroni,
+        restarts=args.restarts,
+    )
+    payload = _result_payload(run_test(req), args.seed, args.restarts)
 
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -544,6 +521,36 @@ def cmd_simulate(args, argv: list[str]) -> int:
 # argument parser
 
 
+def _choice_parser() -> argparse.ArgumentParser:
+    """The flags that choose the test, shared by both subcommands.
+    --sigma and --seed mean different things in each and stay there."""
+    c = argparse.ArgumentParser(add_help=False)
+    c.add_argument("--k", type=int, required=True, help="number of clusters")
+    c.add_argument(
+        "--sigma-est", choices=("sample", "median"), help="plug-in noise sd estimator"
+    )
+    c.add_argument(
+        "--unknown-sigma",
+        action="store_true",
+        help="estimate the noise scale within the tested clusters (F-based test)",
+    )
+    c.add_argument("--pairs", help='fixed pair list, e.g. "1:2,1:3" (1-based)')
+    c.add_argument(
+        "--select",
+        help="data-dependent selection, kind:value with kind top/bottom/below/above",
+    )
+    c.add_argument(
+        "--account-selection", action="store_true", help="also condition on the --select outcome"
+    )
+    c.add_argument(
+        "--bonferroni",
+        action="store_true",
+        help="Bonferroni-adjusted minimum over the fixed pairwise tests",
+    )
+    c.add_argument("--max-iter", type=int, default=50, help="K-means iteration cap")
+    return c
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cluster-sieve",
@@ -551,42 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    choice = [_choice_parser()]
 
-    t = sub.add_parser("test", help="test cluster mean differences in a data file")
+    t = sub.add_parser("test", parents=choice, help="test cluster mean differences in a data file")
     t.add_argument(
         "file", help="comma- or tab-delimited numeric file, rows = observations"
     )
-    t.add_argument("--k", type=int, required=True, help="number of clusters")
     t.add_argument("--sigma", type=float, default=None, help="known noise sd")
-    t.add_argument(
-        "--sigma-est",
-        choices=("sample", "median"),
-        default=None,
-        help="plug-in noise sd estimator",
-    )
-    t.add_argument(
-        "--unknown-sigma",
-        action="store_true",
-        help="estimate the noise scale within the tested clusters (F-based test)",
-    )
-    t.add_argument(
-        "--pairs", default=None, help='fixed pair list, e.g. "1:2,1:3" (1-based)'
-    )
-    t.add_argument(
-        "--select",
-        default=None,
-        help="data-dependent selection, kind:value with kind top/bottom/below/above",
-    )
-    t.add_argument(
-        "--account-selection",
-        action="store_true",
-        help="also condition on the --select outcome",
-    )
-    t.add_argument(
-        "--bonferroni",
-        action="store_true",
-        help="Bonferroni-adjusted minimum over the fixed pairwise tests",
-    )
     t.add_argument(
         "--standardize", action="store_true", help="per-column standardization first"
     )
@@ -598,37 +576,28 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="combine the p-values of this many clustering starts (twice their mean)",
     )
-    t.add_argument("--max-iter", type=int, default=50, help="K-means iteration cap")
     t.add_argument("--format", choices=("json", "csv"), default="json")
     t.add_argument("--out", default=None, help="also write the report to this file")
     t.set_defaults(func=cmd_test)
 
-    s = sub.add_parser("simulate", help="run a calibration or power study")
+    s = sub.add_parser("simulate", parents=choice, help="run a calibration or power study")
     s.add_argument("mode", choices=("type1", "power"))
     s.add_argument("--out", required=True, help="output path prefix")
     s.add_argument("--n", type=int, required=True, help="observations per replicate")
     s.add_argument("--q", type=int, required=True, help="feature dimension")
-    s.add_argument("--k", type=int, required=True, help="number of clusters")
     s.add_argument("--sigma", type=float, default=1.0, help="generating noise sd")
     s.add_argument("--mu", choices=("null", "horizontal", "kgon"), default="null")
     s.add_argument("--delta", type=float, default=0.0, help="signal strength (type1)")
     s.add_argument("--delta-grid", default=None, help="comma list of deltas (power)")
     s.add_argument("--replicates", type=int, default=1000)
-    s.add_argument("--pairs", default=None, help="fixed pair list, 1-based")
-    s.add_argument("--select", default=None, help="data-dependent selection, kind:value")
-    s.add_argument("--account-selection", action="store_true")
-    s.add_argument("--bonferroni", action="store_true")
     s.add_argument(
         "--test-sigma",
         type=float,
         default=None,
         help="known sd handed to the test (default: the generating sd)",
     )
-    s.add_argument("--sigma-est", choices=("sample", "median"), default=None)
-    s.add_argument("--unknown-sigma", action="store_true")
     s.add_argument("--alpha", type=float, default=0.05, help="rejection level for power")
     s.add_argument("--seed", type=int, default=0, help="master seed")
-    s.add_argument("--max-iter", type=int, default=50, help="K-means iteration cap")
     s.add_argument(
         "--workers",
         type=int,

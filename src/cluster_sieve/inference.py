@@ -71,27 +71,47 @@ class VarianceSpec:
         return cls(kind="unknown")
 
 
+def check_test_choice(
+    rule: SelectionRule, variance: VarianceSpec, account_selection: bool, bonferroni: bool
+) -> None:
+    """The one rule set for which test a request may ask for. Accounting
+    for the selection needs a data-dependent rule, since a fixed pair
+    list involves no selection event; the Bonferroni baseline needs a
+    fixed pair list and a known or plug-in sigma."""
+    if account_selection and not rule.is_data_dependent:
+        raise ValueError("account_selection requires a data-dependent selection rule")
+    if bonferroni and rule.is_data_dependent:
+        raise ValueError("the Bonferroni baseline needs a fixed pair list")
+    if bonferroni and variance.kind == "unknown":
+        raise ValueError("the Bonferroni baseline needs a known or plug-in sigma")
+
+
 @dataclass(frozen=True)
 class TestRequest:
-    """Everything one test invocation depends on.
-
-    account_selection asks the test to additionally condition on the
-    observed outcome of the selection rule; it requires a
-    data-dependent rule, since a fixed pair list involves no selection
-    event.
-    """
+    """Everything one test invocation depends on, including which test
+    runs: the joint test of the selected pairs or, with bonferroni, each
+    pair alone; with account_selection also conditioned on the selection;
+    over `restarts` clustering starts (see check_test_choice, run_test)."""
 
     data: DataMatrix
     kmeans_cfg: KMeansConfig
     rule: SelectionRule
     variance: VarianceSpec
     account_selection: bool = False
+    bonferroni: bool = False
+    restarts: int = 1
 
     def __post_init__(self):
-        if self.account_selection and not self.rule.is_data_dependent:
-            raise ValueError(
-                "account_selection requires a data-dependent selection rule"
-            )
+        check_test_choice(self.rule, self.variance, self.account_selection, self.bonferroni)
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
+        if self.restarts > 1 and not isinstance(self.kmeans_cfg.seed, (int, np.integer)):
+            raise ValueError("restarts > 1 needs an integer kmeans_cfg.seed")
+
+
+def restart_seed(seed: int, restart: int) -> int:
+    """The clustering seed of start `restart` of a run seeded by `seed`."""
+    return int(np.random.SeedSequence((seed, restart)).generate_state(1)[0])
 
 
 def sigma_hat_sample(X: DataMatrix) -> float:
@@ -161,13 +181,13 @@ def _test(
     )
 
 
-def _run(req: TestRequest, pairwise: bool = False) -> PValueResult:
+def _run(req: TestRequest) -> PValueResult:
     """The one runner of every test: resolve sigma, cluster, select the
-    pairs V, then test V jointly, or, when pairwise, each pair of V on
+    pairs V, then test V jointly, or, for Bonferroni, each pair of V on
     its own. The result is the group with the smallest p-value, whose
     p-value becomes min(1, groups * p): the Bonferroni bound, and p
     itself for the one joint group. Failures of any group give NA."""
-    if pairwise:
+    if req.bonferroni:
         method = Method.BONFERRONI
     elif req.variance.kind == "unknown":
         method = Method.UNKNOWN_SIGMA_SELECTED if req.account_selection else Method.UNKNOWN_SIGMA
@@ -178,16 +198,42 @@ def _run(req: TestRequest, pairwise: bool = False) -> PValueResult:
         trace = run_kmeans(req.data, req.kmeans_cfg)
         part = trace.final_partition()
         V = select_pairs(req.data, part, req.rule)
-        groups = [PairSet((pair,), part.K) for pair in V.pairs] if pairwise else [V]
+        groups = [PairSet((pair,), part.K) for pair in V.pairs] if req.bonferroni else [V]
         results = [_test(req, trace, part, W, sigma, method) for W in groups]
     except NotAvailable as e:
         return PValueResult.not_available(method, str(e))
     i = min(range(len(groups)), key=lambda j: results[j].p_value)
     diag["pairs_tested"] = [list(pair) for pair in V.pairs]
-    if pairwise:
+    if req.bonferroni:
         diag.update(winning_pair=list(V.pairs[i]), pairwise_p_values=[r.p_value for r in results])
     p = min(1.0, len(groups) * results[i].p_value)
     return replace(results[i], p_value=p, diagnostics={**diag, **results[i].diagnostics})
+
+
+def run_test(req: TestRequest) -> PValueResult:
+    """The test the request asks for: the Bonferroni baseline when
+    req.bonferroni is set, otherwise the F test for variance kind
+    'unknown' and the chi test for every other kind.
+
+    One start clusters from req.kmeans_cfg as given; with R > 1 starts,
+    start r is seeded by restart_seed(seed, r). Their p-values are
+    dependent, so their mean is not a valid p-value, but twice the mean
+    is (Vovk & Wang 2020). The result is the first start with a p-value,
+    which becomes min(1, 2 * mean) over such starts; its diagnostics add
+    restart_p_values (None for an NA start) and na_restarts."""
+    if req.restarts == 1:
+        return _run(req)
+    results = [
+        _run(replace(req, kmeans_cfg=replace(
+            req.kmeans_cfg, seed=restart_seed(req.kmeans_cfg.seed, r))))
+        for r in range(req.restarts)
+    ]
+    ps = [None if res.degenerate else res.p_value for res in results]
+    ok = [p for p in ps if p is not None]
+    shown = next((res for res in results if not res.degenerate), results[0])
+    diag = {**shown.diagnostics, "restart_p_values": ps, "na_restarts": len(ps) - len(ok)}
+    p = min(1.0, 2.0 * float(np.mean(ok))) if ok else shown.p_value
+    return replace(shown, p_value=p, diagnostics=diag)
 
 
 def test_known_sigma(req: TestRequest) -> PValueResult:
@@ -202,7 +248,7 @@ def test_known_sigma(req: TestRequest) -> PValueResult:
     """
     if req.variance.kind == "unknown":
         raise ValueError("test_known_sigma needs a known or plug-in sigma")
-    return _run(req)
+    return run_test(req)
 
 
 def test_unknown_sigma(req: TestRequest) -> PValueResult:
@@ -216,7 +262,7 @@ def test_unknown_sigma(req: TestRequest) -> PValueResult:
     """
     if req.variance.kind != "unknown":
         raise ValueError("test_unknown_sigma takes variance kind 'unknown'")
-    return _run(req)
+    return run_test(req)
 
 
 def test_bonferroni(req: TestRequest) -> PValueResult:
@@ -225,21 +271,7 @@ def test_bonferroni(req: TestRequest) -> PValueResult:
 
     All pairwise tests share one clustering run. The reported statistic
     and truncation are those of the winning pair. Super-uniform under
-    the null, so valid but conservative.
+    the null, so valid but conservative. A data-dependent rule or an
+    unknown sigma raises ValueError (see check_test_choice).
     """
-    if req.rule.is_data_dependent:
-        raise ValueError("test_bonferroni needs a fixed pair list")
-    if req.variance.kind == "unknown":
-        raise ValueError("test_bonferroni needs a known or plug-in sigma")
-    return _run(req, pairwise=True)
-
-
-def run_test(req: TestRequest, bonferroni: bool = False) -> PValueResult:
-    """The test a request asks for: the Bonferroni baseline over a fixed
-    pair list when bonferroni is set, otherwise the F test for variance
-    kind 'unknown' and the chi test for every other kind."""
-    if bonferroni:
-        return test_bonferroni(req)
-    if req.variance.kind == "unknown":
-        return test_unknown_sigma(req)
-    return test_known_sigma(req)
+    return run_test(replace(req, bonferroni=True))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DataMatrix, PValueResult
-from .inference import TestRequest, VarianceSpec, run_test
+from .inference import TestRequest, VarianceSpec, check_test_choice, run_test
 from .kmeans import KMeansConfig
 from .selection import SelectionRule
 
@@ -62,12 +62,7 @@ class SimConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if self.bonferroni and self.rule.is_data_dependent:
-            raise ValueError("the Bonferroni baseline needs a fixed pair list")
-        if self.bonferroni and self.variance.kind == "unknown":
-            raise ValueError("the Bonferroni baseline needs a known or plug-in sigma")
-        if self.account_selection and not self.rule.is_data_dependent:
-            raise ValueError("account_selection requires a data-dependent selection rule")
+        check_test_choice(self.rule, self.variance, self.account_selection, self.bonferroni)
         if self.rule.g is not None and self.rule.g > self.K * (self.K - 1) // 2:
             raise ValueError(f"g={self.rule.g} exceeds the number of cluster pairs")
         if self.kmeans_max_iter < 1:
@@ -147,8 +142,9 @@ def run_replicate(cfg: SimConfig, rep: int) -> PValueResult:
         rule=cfg.rule,
         variance=cfg.variance,
         account_selection=cfg.account_selection,
+        bonferroni=cfg.bonferroni,
     )
-    return run_test(req, bonferroni=cfg.bonferroni)
+    return run_test(req)
 
 
 def _one_pvalue(args) -> tuple[int, float]:

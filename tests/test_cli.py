@@ -7,9 +7,14 @@ import math
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
+
+from cluster_sieve import DataMatrix, KMeansConfig, SelectionRule
+from cluster_sieve import inference as inf
 
 CMD = [sys.executable, "-m", "cluster_sieve.cli"]
 
@@ -84,20 +89,6 @@ class TestExitCodes:
             "--pairs", "1:2", "--select", "top:1",
         )
         assert r.returncode == 3
-
-    def test_account_needs_select(self, blob_csv):
-        r = run_cli(
-            "test", blob_csv, "--k", 2, "--sigma", 1, "--account-selection"
-        )
-        assert r.returncode == 3
-
-    def test_bonferroni_excludes_selection(self, blob_csv):
-        for extra in ([], ["--account-selection"]):
-            r = run_cli(
-                "test", blob_csv, "--k", 3, "--sigma", 1,
-                "--bonferroni", "--select", "top:1", *extra,
-            )
-            assert r.returncode == 3
 
     @pytest.mark.parametrize("argv", [
         ["test", "FILE", "--k", 3, "--sigma", 1, "--select", "top:5"],
@@ -193,35 +184,62 @@ class TestTestCommand:
         assert out["method"] == "KnownSigmaSelected"
         assert len(out["pairs_tested"]) == 1
 
-    def test_restarts_report_all(self, blob_csv):
-        r = run_cli(
-            "test", blob_csv, "--k", 2, "--sigma", 1, "--restarts", 3
-        )
-        out = json.loads(r.stdout)
-        assert len(out["restart_p_values"]) == 3
-        finite = [p for p in out["restart_p_values"] if p is not None]
-        want = min(1.0, 2.0 * sum(finite) / len(finite))
-        assert out["p_value"] == pytest.approx(want, rel=1e-12, abs=0)
+    def test_restarts_report_all(self, blob_csv, tmp_path, capsys):
+        # (data, K, --seed, --restarts, the starts that are NA): the
+        # command line reports what the library's run_test gives
+        from cluster_sieve import cli
 
-    def test_restart_p_value_is_valid_under_the_null(self, tmp_path, capsys):
+        blobs = np.loadtxt(blob_csv, delimiter=",")
+        cases = [
+            (blobs, 2, 0, 3, []),
+            (np.random.default_rng(150).normal(size=(12, 2)), 4, 3, 4, [3]),
+            (np.ones((10, 2)), 3, 0, 3, [0, 1, 2]),
+        ]
+        for i, (x, K, seed, R, na) in enumerate(cases):
+            path = tmp_path / f"{i}.csv"
+            np.savetxt(path, x, delimiter=",")
+            argv = ["test", str(path), "--k", str(K), "--sigma", "1", "--seed", str(seed)]
+            assert cli.main(argv + ["--restarts", str(R)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            req = inf.TestRequest(DataMatrix(x), KMeansConfig(K=K, seed=seed),
+                                  SelectionRule.fixed_all(K), inf.VarianceSpec.known(1.0),
+                                  restarts=R)
+            res = inf.run_test(req)
+            ps = out["restart_p_values"]
+            assert ps == res.diagnostics["restart_p_values"]
+            assert [r for r, p in enumerate(ps) if p is None] == na
+            assert out["na_restarts"] == res.diagnostics["na_restarts"] == len(na)
+            if len(na) == R:
+                assert out["status"] == "NA" and out["p_value"] is None and res.degenerate
+            else:
+                finite = [p for p in ps if p is not None]
+                want = min(1.0, 2.0 * sum(finite) / len(finite))
+                assert out["p_value"] == res.p_value == pytest.approx(want, rel=1e-12, abs=0)
+            # one start clusters from kmeans_cfg as given; the command line
+            # seeds it as the first start of a restart run
+            assert cli.main(argv) == 0
+            one = json.loads(capsys.readouterr().out)
+            first = inf.run_test(replace(req, restarts=1, kmeans_cfg=KMeansConfig(
+                K=K, seed=inf.restart_seed(seed, 0))))
+            assert one["p_value"] == ps[0] == (None if first.degenerate else first.p_value)
+            assert "restart_p_values" not in one and "restart_p_values" not in first.diagnostics
+
+    def test_restart_p_value_is_valid_under_the_null(self):
         # Twice the mean of dependent p-values is a valid p-value (Vovk &
         # Wang 2020): at 0.05 its rejection rate on null data may not
         # exceed 0.05 by more than three standard errors.
-        from cluster_sieve import cli
-
         rng = np.random.default_rng(2020)
-        path = tmp_path / "null.csv"
         ps = []
         for _ in range(200):
-            np.savetxt(path, rng.normal(size=(30, 2)), delimiter=",")
-            argv = ["test", str(path), "--k", "3", "--sigma", "1", "--restarts", "5"]
-            assert cli.main(argv) == 0
-            out = json.loads(capsys.readouterr().out)
-            finite = [p for p in out["restart_p_values"] if p is not None]
+            req = inf.TestRequest(DataMatrix(rng.normal(size=(30, 2))), KMeansConfig(K=3, seed=0),
+                                  SelectionRule.fixed_all(3), inf.VarianceSpec.known(1.0),
+                                  restarts=5)
+            res = inf.run_test(req)
+            finite = [p for p in res.diagnostics["restart_p_values"] if p is not None]
             if finite:
-                assert out["p_value"] == pytest.approx(
+                assert res.p_value == pytest.approx(
                     min(1.0, 2.0 * float(np.mean(finite))), rel=1e-15, abs=0)
-                ps.append(out["p_value"])
+                ps.append(res.p_value)
         assert len(ps) >= 190
         rate = np.mean(np.array(ps) <= 0.05)
         assert rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / len(ps))

@@ -8,9 +8,11 @@ import pytest
 
 from cluster_sieve.core import INF, DataMatrix, IntervalUnion, Method, interval_contains
 from cluster_sieve.distributions import TruncatedDistSpec, truncated_survival_info
+from cluster_sieve import cli
 from cluster_sieve import inference as inf
 from cluster_sieve.kmeans import KMeansConfig
 from cluster_sieve.selection import SelectionRule
+from cluster_sieve.simulation import SimConfig
 
 from conftest import blocked_means, gauss_data
 
@@ -64,12 +66,13 @@ class TestSpecs:
             inf.VarianceSpec(kind="unknown", sigma=1.0)
         assert inf.VarianceSpec.plug_in_sample().sigma is None
 
-    def test_account_selection_needs_data_dependent_rule(self):
-        X = gauss_data(0, 12, 2)
+    def test_restarts_need_a_count_and_an_integer_seed(self):
+        req = request(gauss_data(0, 12, 2), 2)
+        assert replace(req, restarts=2).restarts == 2
         with pytest.raises(ValueError):
-            request(X, 2, rule=SelectionRule.fixed([(0, 1)]), account=True)
-        # fine with a rank rule
-        request(X, 2, rule=SelectionRule.top_g(1), account=True)
+            replace(req, restarts=0)
+        with pytest.raises(ValueError):
+            replace(req, kmeans_cfg=KMeansConfig(K=2), restarts=2)
 
 
 # The five variants of the calibration benchmark: rule, variance,
@@ -88,9 +91,52 @@ VARIANTS = {
 def test_run_test_matches_the_entry_point(variant):
     rule, variance, account, bonferroni, entry = VARIANTS[variant]
     req = request(gauss_data(3, 60, 2), 3, rule=rule, variance=variance, account=account)
-    got = inf.run_test(req, bonferroni=bonferroni)
+    got = inf.run_test(replace(req, bonferroni=bonferroni))
     assert not got.degenerate
     assert got == entry(req)
+
+
+# Every combination of test choices that no test exists for, with its
+# command-line flags. The one rule set refuses each in every caller:
+# TestRequest and SimConfig raise ValueError, and both subcommands exit 3
+# before they read any data.
+INVALID_CHOICES = {
+    "account_fixed_pairs": (
+        SelectionRule.fixed([(0, 1)]), KNOWN, True, False, ["--pairs", "1:2", "--account-selection"]),
+    "account_all_pairs": (SelectionRule.fixed_all(3), KNOWN, True, False, ["--account-selection"]),
+    "bonferroni_top1": (
+        SelectionRule.top_g(1), KNOWN, False, True, ["--select", "top:1", "--bonferroni"]),
+    "bonferroni_top1_accounted": (
+        SelectionRule.top_g(1), KNOWN, True, True,
+        ["--select", "top:1", "--account-selection", "--bonferroni"]),
+    "bonferroni_unknown_sigma": (
+        SelectionRule.fixed_all(3), UNKNOWN, False, True, ["--unknown-sigma", "--bonferroni"]),
+}
+
+
+@pytest.mark.parametrize("caller", ["TestRequest", "SimConfig", "test", "simulate"])
+@pytest.mark.parametrize("case", sorted(INVALID_CHOICES))
+def test_invalid_choice_is_refused(case, caller, tmp_path, capsys):
+    rule, variance, account, bonferroni, flags = INVALID_CHOICES[case]
+    choice = dict(rule=rule, variance=variance, account_selection=account, bonferroni=bonferroni)
+    if caller == "TestRequest":
+        with pytest.raises(ValueError):
+            inf.TestRequest(data=gauss_data(0, 12, 2), kmeans_cfg=KMeansConfig(K=3), **choice)
+    elif caller == "SimConfig":
+        with pytest.raises(ValueError):
+            SimConfig(n=24, q=2, K=3, sigma=1.0, mu_kind="null", delta=0.0, replicates=2,
+                      **choice)
+    else:
+        if caller == "test":
+            # the file does not exist: the flags must be refused first
+            argv = ["test", str(tmp_path / "missing.csv")]
+            argv += [] if variance.kind == "unknown" else ["--sigma", "1"]
+        else:
+            argv = ["simulate", "type1", "--out", str(tmp_path / "x"), "--n", "24", "--q", "2",
+                    "--replicates", "2"]
+        assert cli.main(argv + ["--k", "3", *flags]) == cli.EXIT_FLAGS
+        assert capsys.readouterr().err.startswith("error: invalid flag combination: ")
+        assert not list(tmp_path.iterdir())
 
 
 class TestScaleEstimators:
@@ -248,9 +294,12 @@ class TestReductions:
         )
 
     def test_bonferroni_rejects_data_dependent_rules(self):
+        # the request is rebuilt with bonferroni set, which runs its checks
         X = gauss_data(0, 16, 2)
         with pytest.raises(ValueError):
             inf.test_bonferroni(request(X, 3, rule=SelectionRule.top_g(1)))
+        with pytest.raises(ValueError):
+            inf.test_bonferroni(request(X, 3, variance=inf.VarianceSpec.unknown()))
 
 
 class TestPlugIn:
@@ -268,7 +317,7 @@ class TestPlugIn:
         X = gauss_data(12, 30, 3)
         for K, bonferroni in ((2, False), (3, True)):
             req = request(X, K, variance=inf.VarianceSpec.plug_in_median())
-            res = inf.run_test(req, bonferroni=bonferroni)
+            res = inf.run_test(replace(req, bonferroni=bonferroni))
             assert not res.degenerate
             assert res.diagnostics["variance"] == "plug_in_median"
             assert res.diagnostics["asymptotic_only"] is True
@@ -378,12 +427,12 @@ class TestConvergenceReported:
     ])
     def test_iterations_and_convergence_in_diagnostics(self, variance, bonferroni):
         req = request(gauss_data(0, 40, 2), 3, variance=variance)
-        full = inf.run_test(req, bonferroni=bonferroni)
+        full = inf.run_test(replace(req, bonferroni=bonferroni))
         assert not full.degenerate
         assert full.diagnostics["iterations"] == 6
         assert full.diagnostics["converged"] is True
         cut = replace(req, kmeans_cfg=KMeansConfig(K=3, seed=0, max_iter=1))
-        res = inf.run_test(cut, bonferroni=bonferroni)
+        res = inf.run_test(replace(cut, bonferroni=bonferroni))
         assert not res.degenerate
         assert res.diagnostics["iterations"] == 1
         assert res.diagnostics["converged"] is False

@@ -49,13 +49,7 @@ class TestConfig:
             config(alpha=1.0)
         with pytest.raises(ValueError):
             config(replicates=0)
-        with pytest.raises(ValueError):
-            config(bonferroni=True, rule=SelectionRule.top_g(1))
-        # combinations that no replicate could run
-        with pytest.raises(ValueError):
-            config(bonferroni=True, variance=VarianceSpec.unknown())
-        with pytest.raises(ValueError):
-            config(account_selection=True)  # with the default fixed rule
+        # combinations that no replicate could run: test_inference.INVALID_CHOICES
 
     def test_null_layout_is_zero(self):
         mu = _means(config(delta=3.0))
