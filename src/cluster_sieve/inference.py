@@ -107,6 +107,8 @@ class TestRequest:
             raise ValueError("restarts must be at least 1")
         if self.restarts > 1 and not isinstance(self.kmeans_cfg.seed, (int, np.integer)):
             raise ValueError("restarts > 1 needs an integer kmeans_cfg.seed")
+        if self.restarts > 1 and self.kmeans_cfg.init_indices is not None:
+            raise ValueError("restarts > 1 needs unpinned initial rows, not init_indices")
 
 
 def restart_seed(seed: int, restart: int) -> int:

@@ -10,7 +10,9 @@ it takes the radical form
 
     l1*psi + l2*sqrt(psi) + l3*sqrt(psi*(psi+r*)) + l4*sqrt(psi+r*) + l5 <= 0,
 
-solved exactly through a quartic in y = sqrt(psi).
+which on the hyperbola sqrt(psi) = sqrt(r*)*sinh(t), sqrt(psi+r*) =
+sqrt(r*)*cosh(t) is, times 4*e^(2t), a quartic in w = e^t >= 1: solved
+exactly through its roots, with no squaring.
 
 The inequalities are handled in batches, never one at a time: each
 Lloyd step, and the selection rule, yields one coefficient array; an
@@ -46,21 +48,6 @@ from .kmeans import KMeansTrace, step_centroids
 from .projection import PairSet, ProjectionBundle, split
 from .selection import pair_center_diffs
 
-# Candidate quartic roots are accepted with deliberately loose tolerances:
-# spurious candidates only refine the sign partition, while a missed real
-# root could corrupt it. A candidate's residual is accepted up to
-# _RESIDUAL_TOL or _RESIDUAL_ULPS ulps of the sum of its terms'
-# magnitudes, whichever is larger. The relative part: evaluating the
-# residual rounds at most six times along any term (about 3 ulps of that
-# sum), and a root y off by m ulps moves it by at most 2m ulps more, since
-# |y * d/dy| of each term is at most twice the term's bound. 32 ulps thus
-# keeps roots found to about 14 ulps, which eigvals meets for simple roots;
-# without it a root near y = 3e9, where the terms reach 1e16 and a
-# residual of 2 is rounding, was dropped.
-_IMAG_TOL = 1.0
-_RESIDUAL_TOL = 1.0
-_RESIDUAL_ULPS = 32.0
-_ROOT_COLLAPSE = 1e-30
 # Gram differences of the unit-normalized path matrices are O(1) (times
 # powers of r*), with cancellation noise around n*eps. Radical-form
 # coefficients below this fraction of the vector's scale are arithmetic
@@ -184,63 +171,44 @@ def _solve_radical(lam: np.ndarray, rs: float):
     """{psi >= 0 : g(psi) <= 0} for every row (l1, ..., l5) of lam, g the
     radical form with the given r*, as (pieces, row count).
 
-    Substituting y = sqrt(psi) and squaring the balanced equation
-    (l3*y + l4)*sqrt(y^2 + r*) = -(l1*y^2 + l2*y + l5) turns the
-    boundary into a quartic in y. Its admissible roots, together with
-    y = 0 and the real roots of each side alone, partition [0, inf); a
-    midpoint sign scan keeps the non-positive parts, mapped back through
-    psi = y^2.
+    On the hyperbola sqrt(psi) = c*sinh(t), sqrt(psi + r*) = c*cosh(t),
+    c = sqrt(r*), w = e^t >= 1, 4*w^2*g is exactly the quartic
+    (l1 + l3)*r* w^4 + 2c*(l2 + l4) w^3 + (4*l5 - 2*l1*r*) w^2
+    + 2c*(l4 - l2) w + (l1 - l3)*r*. So g <= 0 where it is, and every
+    sign change of g is a real root at w >= 1: w = 1 (psi = 0) and the
+    real part of every root above 1 partition [1, inf), a spurious one
+    only splitting a piece that merge_pieces joins again. A midpoint
+    sign scan keeps the non-positive parts, mapped back through the
+    increasing psi = (c*(w - 1)*(w + 1)/(2w))^2.
     """
     l1, l2, l3, l4, l5 = (col[:, None] for col in lam.T)
-    m = lam.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quartic = np.column_stack([
-            l3 * l3 - l1 * l1,
-            2.0 * (l3 * l4 - l1 * l2),
-            l4 * l4 + l3 * l3 * rs - l2 * l2 - 2.0 * l1 * l5,
-            2.0 * (l3 * l4 * rs - l2 * l5),
-            l4 * l4 * rs - l5 * l5,
-        ])
-        z = _poly_roots(quartic)
-        y = z.real
-        # Squaring introduces sign-flipped impostors; keep only roots
-        # where both sides genuinely meet.
-        rt = np.sqrt(y * y + rs)
-        gap = (l3 * y + l4) * rt + (l1 * y * y + l2 * y + l5)
-        size = (np.abs(l3 * y) + np.abs(l4)) * rt + np.abs(l1 * y * y)
-        size = size + np.abs(l2 * y) + np.abs(l5)
-        tol = np.maximum(_RESIDUAL_TOL, _RESIDUAL_ULPS * np.finfo(float).eps * size)
-        real = (np.abs(z.imag) <= _IMAG_TOL) & (np.abs(gap) <= tol)
-        # Roots of each side alone catch boundaries the squared equation
-        # degenerates on (both sides vanishing identically).
-        side = np.where(l3 != 0.0, -l4 / l3, np.nan)
-        disc = l2 * l2 - 4.0 * l1 * l5
-        s = np.sqrt(disc)
-        two = (l1 != 0.0) & (disc >= 0.0)
-        linear = (l1 == 0.0) & (l2 != 0.0)
-        q1 = np.where(two, (-l2 - s) / (2.0 * l1), np.where(linear, -l5 / l2, np.nan))
-        q2 = np.where(two, (-l2 + s) / (2.0 * l1), np.nan)
-        cands = np.hstack([np.zeros((m, 1)), np.where(real, y, np.nan), side, q1, q2])
-        ys = np.sort(np.where(cands >= 0.0, cands, np.nan), axis=1)  # NaN last
-        # Collapse candidates within _ROOT_COLLAPSE of the last one kept.
-        keep = np.zeros(ys.shape, dtype=bool)
-        keep[:, 0] = True
-        last = ys[:, 0]
-        for t in range(1, ys.shape[1]):
-            keep[:, t] = ys[:, t] - last > _ROOT_COLLAPSE
-            last = np.where(keep[:, t], ys[:, t], last)
-        ys = np.sort(np.where(keep, ys, np.nan), axis=1)
-        count = keep.sum(axis=1)[:, None]
-        t = np.arange(ys.shape[1])
-        nxt = np.hstack([ys[:, 1:], np.full((m, 1), np.nan)])
-        bounded = t < count - 1
-        probe = np.where(bounded, 0.5 * (ys + nxt), ys + 1.0)
-        rt = np.sqrt(probe * probe + rs)
-        g = l1 * probe * probe + l2 * probe + l3 * probe * rt + l4 * rt + l5
-        lo, hi = ys * ys, np.where(bounded, nxt * nxt, INF)
-        # a piece starting where psi = y^2 overflows holds no psi
-        inside = (t < count) & (g <= 0.0) & (lo < INF)
-    rows = np.broadcast_to(np.arange(m)[:, None], ys.shape)[inside]
+    m, c = lam.shape[0], math.sqrt(rs)
+
+    def hyperbola(w):
+        # (sqrt(psi), sqrt(psi + r*)) at w; w - 1 is exact on [1, 2]
+        h = 0.5 / w
+        return c * (w - 1.0) * (0.5 + h), c * (0.5 * w + h)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = _poly_roots(np.column_stack([
+            (l1 + l3) * rs, 2.0 * c * (l2 + l4), 4.0 * l5 - 2.0 * l1 * rs,
+            2.0 * c * (l4 - l2), (l1 - l3) * rs])).real
+        ws = np.sort(np.hstack([np.ones((m, 1)), np.where(w > 1.0, w, np.nan)]), axis=1)
+        ws[:, 1:][ws[:, 1:] == ws[:, :-1]] = np.nan  # exact duplicates
+        ws = np.sort(ws, axis=1)  # NaN last
+        nan = np.full((m, 1), np.nan)
+        nxt = np.hstack([ws[:, 1:], nan])
+        bounded = ~np.isnan(nxt)
+        y, s = hyperbola(np.where(bounded, 0.5 * (ws + nxt), 2.0 * ws))
+        g = l1 * y * y + l2 * y + l3 * y * s + l4 * s + l5
+        # rounding may put a candidate's psi an ulp below the one before
+        y = hyperbola(ws)[0]
+        lo = np.maximum.accumulate(y * y, axis=1)
+        hi = np.where(bounded, np.hstack([lo[:, 1:], nan]), INF)
+        # NaN candidates fail g <= 0; a piece starting where psi overflows
+        # holds no psi
+        inside = (g <= 0.0) & (lo < INF)
+    rows = np.broadcast_to(np.arange(m)[:, None], ws.shape)[inside]
     return _Pieces(*merge_pieces(lo[inside], hi[inside], rows)), m
 
 

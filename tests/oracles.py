@@ -3,14 +3,14 @@
 These solve one inequality per call with plain Python arithmetic and
 serve as test oracles for the batched numpy solvers in
 cluster_sieve.truncation: the same stable-root quadratic formula, and
-the same quartic candidate set and midpoint sign scan for the radical
-form. `interval_intersect` is the scalar two-list sweep, and
-`fold_intersection` intersects their solutions pairwise with it: the
-reference for the batched sweep. `canonicalize` merges one interval at
-a time: the reference for core.merge_pieces. `contrast_basis` is an
-orthonormal basis of the tested pairs' contrast vectors, by SVD, and
-`reference_split` projects onto it: the reference for
-projection.split. `_known_rows` and `_unknown_rows` build one Lloyd
+the same quartic on the hyperbola, candidate set and midpoint sign scan
+for the radical form. `interval_intersect` is the scalar two-list
+sweep, and `fold_intersection` intersects their solutions pairwise with
+it: the reference for the batched sweep. `canonicalize` merges one
+interval at a time: the reference for core.merge_pieces.
+`contrast_basis` is an orthonormal basis of the tested pairs' contrast
+vectors, by SVD, and `reference_split` projects onto it: the reference
+for projection.split. `_known_rows` and `_unknown_rows` build one Lloyd
 step's rows and `_selection_batch` the selection event's, each family on
 its own path: the reference for the row builder of
 truncation.truncation_set. `_log_survival` is one upper tail of
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,12 +31,8 @@ from cluster_sieve.kmeans import KMeansTrace, step_centroids
 from cluster_sieve.projection import PairSet
 from cluster_sieve.truncation import (
     _GRAM_ULPS,
-    _IMAG_TOL,
     _QUAD_TERMS,
     _RADICAL_TERMS,
-    _RESIDUAL_TOL,
-    _RESIDUAL_ULPS,
-    _ROOT_COLLAPSE,
     KnownPath,
     UnknownPath,
     _clean_radical,
@@ -138,81 +135,35 @@ def solve_quad_leq(c: QuadCoeffs) -> IntervalUnion:
 def solve_sqrt_leq(c: SqrtCoeffs) -> IntervalUnion:
     """{psi >= 0 : c.value(psi) <= 0} for the radical form.
 
-    Substituting y = sqrt(psi) and squaring the balanced equation
-    (l3*y + l4)*sqrt(y^2 + r*) = -(l1*y^2 + l2*y + l5) turns the
-    boundary into a quartic in y. Its admissible roots, together with
-    the real roots of each side alone, partition [0, inf); a midpoint
-    sign scan then keeps the non-positive pieces, mapped back through
-    psi = y^2.
+    On the hyperbola sqrt(psi) = k*sinh(t), sqrt(psi + r*) = k*cosh(t),
+    with k = sqrt(r*) and w = e^t >= 1, 4*w^2 times the form is a quartic
+    in w. w = 1 and the real part of every root above 1 partition
+    [1, inf); a midpoint sign scan then keeps the non-positive pieces,
+    mapped back through psi = (k*(w - 1)*(w + 1)/(2w))^2.
     """
     l1, l2, l3, l4, l5, rs = c.l1, c.l2, c.l3, c.l4, c.l5, c.r_star
-    if l1 == 0.0 and l2 == 0.0 and l3 == 0.0 and l4 == 0.0:
-        return IntervalUnion.full() if l5 <= 0.0 else IntervalUnion.empty()
+    k = math.sqrt(rs)
 
-    def g_of_y(y: float) -> float:
-        rt = math.sqrt(y * y + rs)
-        return l1 * y * y + l2 * y + l3 * y * rt + l4 * rt + l5
+    def hyperbola(w: float) -> tuple[float, float]:
+        h = 0.5 / w
+        return k * (w - 1.0) * (0.5 + h), k * (0.5 * w + h)
 
-    def f1(y: float) -> float:
-        return (l3 * y + l4) * math.sqrt(y * y + rs)
+    def g_of_w(w: float) -> float:
+        y, s = hyperbola(w)
+        return l1 * y * y + l2 * y + l3 * y * s + l4 * s + l5
 
-    def f2(y: float) -> float:
-        return -(l1 * y * y + l2 * y + l5)
+    def psi_of_w(w: float) -> float:
+        y = hyperbola(w)[0]
+        return y * y
 
-    def residual_tol(y: float) -> float:
-        # the larger of the absolute tolerance and _RESIDUAL_ULPS ulps of
-        # the sum of the magnitudes of the residual's terms
-        rt = math.sqrt(y * y + rs)
-        size = (abs(l3 * y) + abs(l4)) * rt + abs(l1 * y * y) + abs(l2 * y) + abs(l5)
-        return max(_RESIDUAL_TOL, _RESIDUAL_ULPS * np.finfo(float).eps * size)
-
-    quartic = np.array(
-        [
-            l3 * l3 - l1 * l1,
-            2.0 * (l3 * l4 - l1 * l2),
-            l4 * l4 + l3 * l3 * rs - l2 * l2 - 2.0 * l1 * l5,
-            2.0 * (l3 * l4 * rs - l2 * l5),
-            l4 * l4 * rs - l5 * l5,
-        ]
-    )
-    cands = [0.0]
-    if np.any(quartic != 0.0):
-        for z in np.roots(quartic):
-            y = float(z.real)
-            if abs(z.imag) <= _IMAG_TOL and y >= 0.0:
-                # Squaring introduces sign-flipped impostors; keep only
-                # roots where both sides genuinely meet.
-                if abs(f1(y) - f2(y)) <= residual_tol(y):
-                    cands.append(y)
-    # Roots of each side alone catch boundaries the squared equation
-    # degenerates on (both sides vanishing identically).
-    if l3 != 0.0:
-        y = -l4 / l3
-        if y >= 0.0:
-            cands.append(y)
-    if l1 != 0.0:
-        disc = l2 * l2 - 4.0 * l1 * l5
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            for y in ((-l2 - s) / (2.0 * l1), (-l2 + s) / (2.0 * l1)):
-                if y >= 0.0:
-                    cands.append(y)
-    elif l2 != 0.0:
-        y = -l5 / l2
-        if y >= 0.0:
-            cands.append(y)
-
-    ys = sorted(cands)
-    dedup = [ys[0]]
-    for y in ys[1:]:
-        if y - dedup[-1] > _ROOT_COLLAPSE:
-            dedup.append(y)
-    pieces = []
-    for lo, hi in zip(dedup, dedup[1:]):
-        if g_of_y(0.5 * (lo + hi)) <= 0.0:
-            pieces.append(_interval(lo * lo, hi * hi))
-    if g_of_y(dedup[-1] + 1.0) <= 0.0:
-        pieces.append(_interval(dedup[-1] ** 2, INF))
+    quartic = [(l1 + l3) * rs, 2.0 * k * (l2 + l4), 4.0 * l5 - 2.0 * l1 * rs,
+               2.0 * k * (l4 - l2), (l1 - l3) * rs]
+    ws = sorted({1.0} | {float(z.real) for z in np.roots(quartic) if z.real > 1.0})
+    psi = list(accumulate(map(psi_of_w, ws), max))
+    pieces = [_interval(psi[i], psi[i + 1]) for i in range(len(ws) - 1)
+              if g_of_w(0.5 * (ws[i] + ws[i + 1])) <= 0.0]
+    if g_of_w(2.0 * ws[-1]) <= 0.0:
+        pieces.append(_interval(psi[-1], INF))
     return union_of(tuple(iv for iv in pieces if iv))
 
 

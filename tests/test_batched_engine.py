@@ -4,7 +4,9 @@ Row by row, the numpy solvers must return exactly the sets the scalar
 solvers in oracles.py return; over whole Lloyd traces and selection
 events, and over both together, the one-sweep intersection must return
 the set that folding the oracle solutions through the scalar
-interval_intersect returns.
+interval_intersect returns. Row by row, both solvers' sets must also
+have the sign that 60-digit arithmetic gives the form away from their
+ends.
 """
 import math
 from fractions import Fraction
@@ -16,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cluster_sieve.core import INF, DataMatrix, Interval, IntervalUnion, NotAvailable
+from cluster_sieve.core import (
+    INF, DataMatrix, Interval, IntervalUnion, NotAvailable, interval_contains,
+)
 from cluster_sieve.inference import VarianceSpec
 from cluster_sieve.kmeans import KMeansConfig, run_kmeans
 from cluster_sieve.projection import build_projection
@@ -141,15 +145,11 @@ class TestRadicalRows:
         lam, rs = drawn
         got = per_row(*_solve_radical(lam, rs))
         for row, g in zip(lam, got):
-            want = solve_sqrt_leq(SqrtCoeffs(*row, r_star=rs))
-            # the scalar solver squares the last candidate with ** 2,
-            # which may differ from y * y in the last bit
-            assert_same_set(g, want, rel=4 * np.finfo(float).eps)
+            assert g == solve_sqrt_leq(SqrtCoeffs(*row, r_star=rs)), (row, rs)
 
     def test_root_at_large_scale_is_kept(self):
         # g(y) = -3e6*y + 1e-3*y*sqrt(y^2 + 1) - 1 crosses 0 near y = 3e9,
-        # where its terms reach 1e16 and the root's residual is 2: an
-        # absolute residual tolerance of 1 lost the root and gave [0, inf)
+        # where its terms reach 1e16: the set ends there, not at inf
         lam = np.array([[0.0, -3e6, 1e-3, 0.0, -1.0]])
         g = SqrtCoeffs(*lam[0], r_star=1.0)
         got = per_row(*_solve_radical(lam, 1.0))[0]
@@ -160,12 +160,66 @@ class TestRadicalRows:
         assert g.value(iv.hi * (1 - 1e-9)) < 0.0 < g.value(iv.hi * (1 + 1e-9))
         assert g.value(2.0 * iv.hi) > 0.0
 
+    def test_root_near_1e12_is_kept(self):
+        # g = sqrt(psi*(psi + 1)) - 1e6*sqrt(psi + 1) - 2e6 turns positive
+        # past psi = 1.000003999996e12, where its terms reach 1e12
+        lam = np.array([[0.0, 0.0, 1.0, -1e6, -2e6]])
+        (iv,) = per_row(*_solve_radical(lam, 1.0))[0].intervals
+        assert iv.lo == 0.0 and iv.hi == pytest.approx(1.000003999996e12, rel=1e-12)
+
     def test_constant_and_linear_rows(self):
         lam = np.array([[0, 0, 0, 0, -1.0], [0, 0, 0, 0, 1.0], [1.0, 0, 0, 0, -4.0]])
         got = per_row(*_solve_radical(lam, 1.0))
         assert got[0] == IntervalUnion.full() and got[1].is_empty
         assert got[2].intervals[0].lo == 0.0
         assert got[2].intervals[0].hi == pytest.approx(4.0, abs=1e-9)
+
+
+def exact_form(row, rs=None):
+    """The row's form as a function of psi, evaluated at 60 digits:
+    a*psi^2 + b*psi + c for a quadratic row (rs None), the radical form
+    with r* = rs otherwise."""
+    def form(psi):
+        with mpmath.workdps(60):
+            x, k = mpmath.mpf(psi), [mpmath.mpf(v) for v in row]
+            if rs is None:
+                return (k[0] * x + k[1]) * x + k[2]
+            r, sq = mpmath.mpf(rs), mpmath.sqrt
+            return k[0] * x + k[1] * sq(x) + k[2] * sq(x * (x + r)) + k[3] * sq(x + r) + k[4]
+    return form
+
+
+# Fixed probe points from 1e-8 to 1e28, three per decade.
+SIGN_GRID = 10.0 ** np.arange(-8.0, 28.0, 1.0 / 3.0)
+
+
+def sign_probes(S: IntervalUnion):
+    """The middle of every piece and gap of S wider than 1e-6*max(1, its
+    upper end), 2*(last finite end) + 1, and every SIGN_GRID point
+    farther than that from each end."""
+    ends = sorted({0.0} | {x for iv in S.intervals for x in (iv.lo, iv.hi) if x < INF})
+    mids = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:]) if hi - lo > 1e-6 * max(1.0, hi)]
+    grid = [x for x in SIGN_GRID if all(abs(x - e) > 1e-6 * max(1.0, e) for e in ends)]
+    return mids + grid + [2.0 * ends[-1] + 1.0]
+
+
+@pytest.mark.parametrize("family", ["quadratic", "radical"])
+@SETTINGS
+@given(data=st.data())
+def test_solver_signs_are_exact(family, data):
+    # Both solvers against independent arithmetic: at every probe, which
+    # keeps 1e-6 from each end, the form is <= 0 inside the returned set
+    # and > 0 outside it.
+    if family == "quadratic":
+        lam, rs = np.array(data.draw(st.lists(quad_row(), min_size=1, max_size=12))), None
+        got = per_row(*_solve_quad(lam))
+    else:
+        lam, rs = data.draw(radical_rows())
+        got = per_row(*_solve_radical(lam, rs))
+    for row, S in zip(lam, got):
+        form = exact_form(row, rs)
+        for psi in sign_probes(S):
+            assert (form(psi) <= 0) == interval_contains(S, psi), (row.tolist(), rs, S, psi)
 
 
 # Rounding-edge magnitudes: the smallest subnormal, the smallest normal,

@@ -73,6 +73,8 @@ class TestSpecs:
             replace(req, restarts=0)
         with pytest.raises(ValueError):
             replace(req, kmeans_cfg=KMeansConfig(K=2), restarts=2)
+        with pytest.raises(ValueError):
+            replace(req, kmeans_cfg=KMeansConfig(K=2, seed=1, init_indices=(0, 1)), restarts=2)
 
 
 # The five variants of the calibration benchmark: rule, variance,
